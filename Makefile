@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke fuzz paper examples examples-smoke trace-demo clean
+.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke perfbench-check fuzz paper examples examples-smoke trace-demo clean
 
 all: build vet test
 
@@ -39,7 +39,7 @@ race:
 # The full gate: what CI (and a careful PR author) runs. gofmt -l
 # prints nothing when the tree is clean; grep flips that into an exit
 # status.
-check: vet build lint race cluster-smoke examples-smoke
+check: vet build lint race cluster-smoke examples-smoke perfbench-check
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi
 
 # Three in-process arbd nodes under the race detector: a fresh binary
@@ -48,6 +48,14 @@ check: vet build lint race cluster-smoke examples-smoke
 # run even when the race tier already cached the package.
 cluster-smoke:
 	$(GO) test -race -run 'TestClusterSmoke|TestForwardingEquivalence|TestRoutedFlagOnWire' -count=1 ./internal/arbd/cluster/
+
+# The benchmark (perfbench/, see BENCHMARK.json) is a module of its
+# own that `go test ./...` never enters; vet and test it here so a
+# change to arbd, client or the facade cannot break perfbench/run.sh
+# unnoticed. Offline: the module only replaces busarb with ../.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Regenerate the sample event trace committed under docs/: a small
 # fixed-seed RR1 run through the -trace JSONL exporter.
@@ -62,17 +70,23 @@ bench:
 
 # Archive today's benchmark suite as BENCH_<date>.json (the perf
 # trajectory; commit the snapshot alongside perf-relevant PRs).
+# GOMAXPROCS=1 pins the processor count the snapshots are taken at:
+# the Table benches size their worker pool from GOMAXPROCS at package
+# init, so allocs/op grows with the core count. It must be set in the
+# environment — `-cpu 1` only takes effect after package init.
 bench-json:
-	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
+	GOMAXPROCS=1 $(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 
 # The bench-regression gate: rerun the suite (short benchtime — only
 # allocs/op is compared, and allocation counts don't depend on it) and
 # diff against the newest committed snapshot. ns/op is not gated here
 # because the hardware differs run to run; use
 # `benchjson -compare -ns-threshold=0.25 old new` manually for timing.
+# Runs at GOMAXPROCS=1, the processor count the snapshots are taken at
+# (see bench-json).
 BENCHTIME ?= 100ms
 bench-gate:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | \
+	GOMAXPROCS=1 $(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | \
 		$(GO) run ./cmd/benchjson -stamp=false -o /tmp/busarb-bench-new.json
 	$(GO) run ./cmd/benchjson -compare -ns-threshold=-1 \
 		$$(ls BENCH_*.json | sort | tail -1) /tmp/busarb-bench-new.json

@@ -3,10 +3,10 @@ package busarb
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"busarb/client"
+	"busarb/internal/bitarb"
 	"busarb/internal/bussim"
 	"busarb/internal/core"
 	"busarb/internal/cyclesim"
@@ -29,6 +29,9 @@ type (
 	Factory = core.Factory
 	// Outcome is one arbitration result.
 	Outcome = core.Outcome
+	// Waiting is the request-line bitmap Protocol.Arbitrate resolves
+	// over: one bit per agent identity 1..N (see NewWaiting).
+	Waiting = bitarb.Vec
 	// SimConfig configures a bus simulation run (§4.1 model).
 	SimConfig = bussim.Config
 	// Result carries a simulation run's measurements.
@@ -136,11 +139,12 @@ func Run(cfg RunConfig) (Report, error) {
 }
 
 // Protocols returns the registered protocol names, sorted.
-func Protocols() []string {
-	names := core.Names()
-	sort.Strings(names)
-	return names
-}
+func Protocols() []string { return core.Names() }
+
+// NewWaiting returns an empty request-line bitmap for an n-agent bus:
+// Set an agent's line when it requests, Clear it when it is granted,
+// and hand the bitmap to Protocol.Arbitrate.
+func NewWaiting(n int) *Waiting { return bitarb.NewVec(n) }
 
 // NewProtocol builds the named protocol for an n-agent bus. Names are
 // those of the paper: "RR1", "RR2", "RR3" (the three round-robin

@@ -1,8 +1,12 @@
 // Command arbd serves bus-style arbitration: named resources are
-// granted to networked agents by the paper's protocols, re-hosted as
-// real-time grant schedulers (internal/grant, internal/arbd), over two
-// transports sharing one daemon — JSON over HTTP (-addr) and the
-// compact binary protocol (-baddr; spec in docs/WIRE.md).
+// granted to networked agents by the paper's protocols — the same
+// internal/core implementations the simulators run, driven by
+// internal/arbd's shard loops — over two transports sharing one daemon:
+// JSON over HTTP (-addr) and the compact binary protocol (-baddr; spec
+// in docs/WIRE.md). A resource may use any registered protocol (FP,
+// RR1, RR2, RR3, FCFS1, FCFS2, AAP1, AAP2, Hybrid, RotRR, Ticket and
+// the priority variants; the -resources help lists them all) or a tree
+// of them.
 //
 // Examples:
 //
@@ -45,6 +49,7 @@ import (
 
 	"busarb/internal/arbd"
 	"busarb/internal/arbd/cluster"
+	"busarb/internal/core"
 	"busarb/internal/topo"
 )
 
@@ -93,7 +98,9 @@ func parseResources(spec string, tick, ttl time.Duration, queue int, window floa
 			MaxQueue:      queue,
 			MetricsWindow: window,
 		}
-		if strings.Contains(fields[1], "x") || strings.Contains(fields[2], "/") {
+		// A tree has more than one level ("8x4"); a flat resource takes
+		// the protocol verbatim, so names like "RR1+prio/rr" serve too.
+		if strings.Contains(fields[1], "x") {
 			tree, err := topo.ParseUniform(fields[1], fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("arbd: bad tree spec %q: %v", part, err)
@@ -119,7 +126,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "HTTP listen address (host:port; port 0 picks a free port)")
 	baddr := flag.String("baddr", "", "binary-protocol listen address (empty: binary transport off)")
 	resources := flag.String("resources", "bus:10:RR1",
-		"comma-separated resource specs, each name:agents:protocol (tree form: name:8x4:RR1/FCFS2, leaves first)")
+		"comma-separated resource specs, each name:agents:protocol (tree form: name:8x4:RR1/FCFS2, leaves first); protocols: "+
+			strings.Join(core.Names(), ", "))
 	tick := flag.Duration("tick", 0, "bus-cycle tick for every resource (0: 1ms default)")
 	ttl := flag.Duration("ttl", 0, "maximum lease lifetime (0: 30s default)")
 	queue := flag.Int("queue", 0, "max queued waiters per resource (0: 1024 default)")

@@ -32,13 +32,17 @@ func ExampleNewProtocol() {
 	if err != nil {
 		panic(err)
 	}
-	// Three agents request; arbitrations pick them in round-robin order.
-	p.OnRequest(2, 0)
-	p.OnRequest(5, 0)
-	p.OnRequest(7, 0)
-	for _, waiting := range [][]int{{2, 5, 7}, {2, 5}, {2}} {
+	// Three agents raise their request lines; arbitrations pick them in
+	// round-robin order.
+	waiting := busarb.NewWaiting(8)
+	for _, id := range []int{2, 5, 7} {
+		p.OnRequest(id, 0)
+		waiting.Set(id)
+	}
+	for waiting.Any() {
 		out := p.Arbitrate(waiting)
 		p.OnServiceStart(out.Winner, 0)
+		waiting.Clear(out.Winner)
 		fmt.Println("granted", out.Winner)
 	}
 	// Output:

@@ -21,8 +21,9 @@ import (
 //   - internal/bitarb: the whole package (the bit-parallel kernels);
 //   - internal/arbd/codec: the whole package (the wire codec's
 //     Append/Decode run per frame);
-//   - internal/grant: the resolve path (Enqueue/Resolve and their
-//     helpers) — constructors and the registry are setup;
+//   - internal/grant: a bus's Assert, Resolve and Pending, the
+//     per-request and per-grant protocol path every arbd shard runs —
+//     the constructor is setup;
 //   - internal/topo: the steady-state tree operations — building the
 //     tree is setup.
 //
@@ -53,7 +54,7 @@ import (
 // is itself reported, so stale exemptions cannot accumulate.
 var AllocFree = &Analyzer{
 	Name: "allocfree",
-	Doc: "hot-path functions (bitarb, codec, grant resolve, topo steady state) must not " +
+	Doc: "hot-path functions (bitarb, codec, grant assert/resolve, topo steady state) must not " +
 		"allocate; //arblint:alloc annotates deliberate setup-phase allocations",
 	AppliesTo: allocFreeApplies,
 	Run:       runAllocFree,
@@ -68,13 +69,9 @@ var allocFreeScope = []struct {
 }{
 	{"internal/bitarb", nil},
 	{"internal/arbd/codec", nil},
-	{"internal/grant", []string{
-		"Enqueue", "Resolve", "Pending", "Reset",
-		"enqueue", "grantWin", "reset", "resolveOracle",
-	}},
+	{"internal/grant", []string{"Assert", "Resolve", "Pending"}},
 	{"internal/topo", []string{
-		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops",
-		"Enqueue", "Resolve", "Pending", "Repasses", "Reset", "checkAgent",
+		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops", "Reset", "checkAgent",
 	}},
 }
 

@@ -55,6 +55,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.Determinism, "busarb/internal/report", false},
 		{analysis.Determinism, "busarb/internal/obs", false},
 		{analysis.Determinism, "busarb/internal/grant", true},
+		{analysis.Determinism, "busarb/internal/core", true},
 		{analysis.Determinism, "busarb/internal/bitarb", true},
 		{analysis.Determinism, "busarb/internal/arbd", false},
 		{analysis.Determinism, "busarb/internal/arbd/codec", true},
@@ -62,6 +63,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.Determinism, "busarb/internal/topo", true},
 		{analysis.NilProbe, "busarb/internal/topo", true},
 		{analysis.NilProbe, "busarb/internal/grant", true},
+		{analysis.NilProbe, "busarb/internal/core", true},
 		{analysis.NilProbe, "busarb/internal/arbd/codec", true},
 		// The cluster package rides simPackagePaths into nilprobe scope
 		// too; it emits no probes, so the bind is vacuous but harmless.

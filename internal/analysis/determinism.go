@@ -23,14 +23,14 @@ var simPackagePaths = []string{
 	// The bit-parallel arbitration kernel every hot path resolves
 	// through: a nondeterminism here would skew every protocol at once.
 	"internal/bitarb",
-	// grant re-hosts the protocols as real-time schedulers; the protocol
-	// state machines themselves must stay as deterministic as core's.
-	// (internal/arbd is deliberately absent: its shard loops are
+	// grant drives the protocols for arbd: its request-line bookkeeping
+	// must stay as deterministic as the protocols it calls. (The daemon,
+	// internal/arbd, is deliberately absent: its shard loops are
 	// wall-clock by design — tickers, lease TTLs, client deadlines.)
 	"internal/grant",
-	// The arbitration-tree layer composes core protocols and grant
-	// schedulers into hierarchies; both its faces sit on simulator and
-	// daemon hot paths, so it inherits both packages' discipline.
+	// The arbitration-tree layer composes core protocols into
+	// hierarchies that both the simulators and arbd run, so it inherits
+	// core's discipline.
 	"internal/topo",
 	// The binary wire codec: pure byte-shuffling on the daemon's hot
 	// path, so it must stay clock-free and allocation-free like the
@@ -39,8 +39,9 @@ var simPackagePaths = []string{
 	"internal/arbd/codec",
 	// The cluster layer's ring must place resources identically on
 	// every node with no coordination — nondeterministic placement is
-	// split-brain. The wall-clock forward-latency metric carries the
-	// package's one //arblint:allow determinism.
+	// split-brain. The wall-clock forward-latency metric and the
+	// order-insensitive failing of torn forwards carry the package's
+	// //arblint:allow determinism comments.
 	"internal/arbd/cluster",
 }
 
@@ -72,9 +73,9 @@ var randConstructors = map[string]bool{
 //     other draw in the process and on Go's generator version.
 //   - range over a map: iteration order is randomized per run. The
 //     collect-keys idiom — a loop body that only appends to a slice,
-//     which the surrounding code can then sort — is recognized and
-//     allowed; anything else must sort first or carry an
-//     //arblint:allow determinism comment.
+//     which the same function then sorts with a sort.* or
+//     slices.Sort* call — is recognized and allowed; anything else
+//     must sort first or carry an //arblint:allow determinism comment.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flag time.Now, global math/rand draws, and unsorted map iteration " +
@@ -87,8 +88,13 @@ var Determinism = &Analyzer{
 
 func runDeterminism(pass *Pass) error {
 	for _, f := range pass.Files {
+		// decl is the function declaration being walked: a
+		// collect-keys loop's sort must follow the loop inside it.
+		var decl *ast.FuncDecl
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				decl = n
 			case *ast.CallExpr:
 				fn := calleeFunc(pass.Info, n)
 				if fn == nil {
@@ -104,7 +110,7 @@ func runDeterminism(pass *Pass) error {
 				}
 			case *ast.RangeStmt:
 				if t := pass.Info.Types[n.X].Type; t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok && !isCollectKeysLoop(n) {
+					if _, ok := t.Underlying().(*types.Map); ok && !collectsThenSorts(pass, n, decl) {
 						pass.Reportf(n.Pos(), "range over map has nondeterministic iteration order; collect the keys and sort them first")
 					}
 				}
@@ -115,11 +121,13 @@ func runDeterminism(pass *Pass) error {
 	return nil
 }
 
-// isCollectKeysLoop recognizes the one deterministic use of map
+// collectsThenSorts recognizes the one deterministic use of map
 // iteration: a body that is exactly one append onto a slice
-// (`keys = append(keys, k)`), leaving ordering to a later sort.
-func isCollectKeysLoop(loop *ast.RangeStmt) bool {
-	if len(loop.Body.List) != 1 {
+// (`keys = append(keys, k)`), followed later in the same function by a
+// sort of that slice. A collect loop whose result escapes unsorted
+// (returned, ranged over) is as nondeterministic as the map itself.
+func collectsThenSorts(pass *Pass, loop *ast.RangeStmt, decl *ast.FuncDecl) bool {
+	if len(loop.Body.List) != 1 || decl == nil || decl.Body == nil {
 		return false
 	}
 	assign, ok := loop.Body.List[0].(*ast.AssignStmt)
@@ -135,5 +143,40 @@ func isCollectKeysLoop(loop *ast.RangeStmt) bool {
 		return false
 	}
 	// The collected slice must be the one assigned to.
-	return types.ExprString(call.Args[0]) == types.ExprString(assign.Lhs[0])
+	keys := types.ExprString(assign.Lhs[0])
+	if types.ExprString(call.Args[0]) != keys {
+		return false
+	}
+	sorted := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && c.Pos() > loop.End() && sortsSlice(pass, c, keys) {
+			sorted = true
+		}
+		return !sorted
+	})
+	return sorted
+}
+
+// sortsSlice reports whether call sorts the slice spelled keys: a
+// sort.* function or a slices.Sort* function whose first argument is
+// keys itself or a one-argument conversion of it (sort.StringSlice).
+func sortsSlice(pass *Pass, call *ast.CallExpr, keys string) bool {
+	fn := calleeFunc(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "sort":
+	case "slices":
+		if !strings.HasPrefix(fn.Name(), "Sort") {
+			return false
+		}
+	default:
+		return false
+	}
+	arg := ast.Unparen(call.Args[0])
+	if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+		arg = ast.Unparen(conv.Args[0])
+	}
+	return types.ExprString(arg) == keys
 }

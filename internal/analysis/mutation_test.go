@@ -40,13 +40,13 @@ func TestMutationsTurnTheTreeRed(t *testing.T) {
 			file:     "internal/bussim/bussim.go",
 			pkg:      "internal/bussim",
 			old: `	if s.cfg.Observer != nil {
-		// Probes may retain events, so the shared snapshot buffer must
-		// be copied out (observed runs are not the allocation-free path).
+		// Probes may retain events, so the snapshot is listed into a
+		// fresh slice (observed runs are not the allocation-free path).
 		s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
-			Agents: append([]int(nil), s.arbSnap...)})
+			Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})
 	}`,
 			new: `	s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
-		Agents: append([]int(nil), s.arbSnap...)})`,
+		Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})`,
 			want: "outside a nil-Observer guard",
 		},
 		{

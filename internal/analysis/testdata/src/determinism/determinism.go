@@ -5,6 +5,7 @@ package determinism
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -57,6 +58,28 @@ func sortedIteration(m map[int]string) []string {
 		out = append(out, m[k])
 	}
 	return out
+}
+
+// collectUnsorted has the collect-keys shape but returns the keys in
+// map order: without a sort in the same function the loop is as
+// nondeterministic as the map.
+func collectUnsorted(m map[string]int) []string {
+	out := make([]string, 0, len(m))
+	for k := range m { // want `range over map has nondeterministic iteration order`
+		out = append(out, k)
+	}
+	return out
+}
+
+// collectSortedBySlices is the collect-keys idiom sorted through the
+// slices package.
+func collectSortedBySlices(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // unsortedIteration consumes map values in iteration order.

@@ -1,14 +1,16 @@
 // Package arbd is arbitration-as-a-service: the paper's bus
-// arbitration protocols (re-hosted as real-time grant schedulers by
-// internal/grant) granting named shared resources to networked clients
+// arbitration protocols (internal/core, the same implementations the
+// simulators run) granting named shared resources to networked clients
 // over HTTP. It is the first subsystem in this repository where
 // wall-clock concurrency is the product rather than a test harness.
 //
 // Each configured resource is one shard: a single goroutine that owns
-// a grant.Scheduler and runs the "bus cycle" — a ticker that batches
-// the acquire requests that arrived since the last tick, expires
-// leases and waiter deadlines, and, when the resource is free, runs
-// one wired-OR arbitration and grants the winner a lease. Mirroring
+// a grant.Bus — the resource's request lines and clock, driving a
+// core.Protocol (a flat protocol or a topo.Tree) — and runs the "bus
+// cycle": a ticker that
+// batches the acquire requests that arrived since the last tick,
+// expires leases and waiter deadlines, and, when the resource is free,
+// runs one arbitration and grants the winner a lease. Mirroring
 // the simulators' single-threaded event loops keeps the protocol state
 // free of locks; the only cross-goroutine seams are the shard's
 // request channels and an obs.Synchronized probe, through which the
@@ -27,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"busarb/internal/core"
 	"busarb/internal/grant"
 	"busarb/internal/obs"
 	"busarb/internal/topo"
@@ -40,13 +43,14 @@ type ResourceConfig struct {
 	// Topo set it may be left 0 (the tree's total) but must match the
 	// tree when given.
 	Agents int
-	// Protocol names the grant scheduler ("FP", "RR1", "RR3", "FCFS1",
-	// "FCFS2"). Set exactly one of Protocol and Topo.
+	// Protocol names the arbitration protocol: any core.Names() entry
+	// ("FP", "RR1", "RR3", "FCFS2", "AAP1", "Hybrid", ...). Set
+	// exactly one of Protocol and Topo.
 	Protocol string
 	// Topo, if non-nil, arbitrates the resource hierarchically: agents
 	// compete in clusters and cluster winners compete upward, each node
-	// running its own protocol (internal/topo's grant face). Agent
-	// identities map onto leaves depth-first.
+	// running its own protocol (internal/topo). Agent identities map
+	// onto leaves depth-first.
 	Topo *topo.Spec
 	// Tick is the bus cycle: pending acquires are batched and at most
 	// one arbitration resolves per tick. Default 1ms.
@@ -62,7 +66,7 @@ type ResourceConfig struct {
 }
 
 // ProtocolName names the resource's arbitration discipline for status
-// surfaces: the scheduler name, or the tree's composite name (e.g.
+// surfaces: the protocol name, or the tree's composite name (e.g.
 // "FCFS2(4xRR1:8)").
 func (rc ResourceConfig) ProtocolName() string {
 	if rc.Topo != nil {
@@ -128,7 +132,7 @@ func (cfg Config) Validate() error {
 				return fmt.Errorf("arbd: resource %q: set Protocol or Topo, not both", rc.Name)
 			}
 			if err := rc.Topo.Validate(func(name string) error {
-				_, err := grant.ByName(name)
+				_, err := core.ByName(name)
 				return err
 			}); err != nil {
 				return fmt.Errorf("arbd: resource %q: %v", rc.Name, err)
@@ -141,7 +145,7 @@ func (cfg Config) Validate() error {
 			if rc.Agents < 1 {
 				return fmt.Errorf("arbd: resource %q needs at least 1 agent, got %d", rc.Name, rc.Agents)
 			}
-			if _, err := grant.ByName(rc.Protocol); err != nil {
+			if _, err := core.ByName(rc.Protocol); err != nil {
 				return fmt.Errorf("arbd: resource %q: %v", rc.Name, err)
 			}
 		}
@@ -169,21 +173,21 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{shards: make(map[string]*shard, len(cfg.Resources)), epoch: time.Now()}
 	for _, rc := range cfg.Resources {
 		rc = rc.withDefaults()
-		var sched grant.Scheduler
+		var proto core.Protocol
 		if rc.Topo != nil {
-			tree, err := topo.NewGrantTree(rc.Topo)
+			tree, err := topo.NewTree(rc.Topo)
 			if err != nil {
 				return nil, err // unreachable after Validate; kept for safety
 			}
-			sched = tree
+			proto = tree
 		} else {
-			f, err := grant.ByName(rc.Protocol)
+			f, err := core.ByName(rc.Protocol)
 			if err != nil {
 				return nil, err // unreachable after Validate; kept for safety
 			}
-			sched = f(rc.Agents)
+			proto = f(rc.Agents)
 		}
-		s := newShard(rc, sched, d.epoch, cfg.Observer)
+		s := newShard(rc, proto, d.epoch, cfg.Observer)
 		d.shards[rc.Name] = s
 		d.names = append(d.names, rc.Name)
 		go s.loop()
@@ -297,17 +301,16 @@ type shard struct {
 	tally   *tally
 
 	// Loop-owned state (no locking: single goroutine).
-	sched       grant.Scheduler // owned by the loop goroutine
+	bus         *grant.Bus      // owned by the loop goroutine
 	waiters     [][]*acquireReq // owned by the loop goroutine; per-agent FIFO, index by identity
 	nwait       int             // owned by the loop goroutine
 	leaseToken  string          // owned by the loop goroutine; "" when the resource is free
 	leaseAgent  int             // owned by the loop goroutine
 	leaseExpiry time.Time       // owned by the loop goroutine
 	tokenSeq    uint64          // owned by the loop goroutine
-	repassSeen  int64           // owned by the loop goroutine
 }
 
-func newShard(rc ResourceConfig, sched grant.Scheduler, epoch time.Time, extra obs.Probe) *shard {
+func newShard(rc ResourceConfig, proto core.Protocol, epoch time.Time, extra obs.Probe) *shard {
 	s := &shard{
 		cfg:       rc,
 		epoch:     epoch,
@@ -315,7 +318,7 @@ func newShard(rc ResourceConfig, sched grant.Scheduler, epoch time.Time, extra o
 		releaseCh: make(chan releaseReq, 16),
 		done:      make(chan struct{}),
 		stopped:   make(chan struct{}),
-		sched:     sched,
+		bus:       grant.New(proto),
 		waiters:   make([][]*acquireReq, rc.Agents+1),
 		metrics:   obs.NewMetrics(rc.MetricsWindow),
 		tally: &tally{
@@ -394,7 +397,7 @@ func (s *shard) admit(req *acquireReq) {
 	}
 	s.waiters[req.agent] = append(s.waiters[req.agent], req)
 	s.nwait++
-	if s.sched.Enqueue(req.agent) {
+	if s.bus.Assert(req.agent) {
 		// The line was newly asserted: one outstanding request per
 		// agent, exactly the paper's model. Further waiters queue
 		// behind the line and re-assert it when the grant is consumed.
@@ -429,17 +432,15 @@ func (s *shard) tick() {
 		s.endLease()
 	}
 	s.expireWaiters(now)
-	if s.leaseToken != "" || s.sched.Pending() == 0 {
+	if s.leaseToken != "" {
 		return
 	}
-	w := s.sched.Resolve()
-	if rp, ok := s.sched.(grant.Repasser); ok {
-		for ; s.repassSeen < rp.Repasses(); s.repassSeen++ {
-			s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
-		}
-	}
+	w, repasses := s.bus.Resolve()
 	if w == 0 {
-		return
+		return // no line asserted: the idle bus starts no arbitration
+	}
+	for ; repasses > 0; repasses-- {
+		s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
 	}
 	s.emit(obs.Event{Time: s.now(), Kind: obs.ArbitrationResolve, Agent: w})
 	req := s.popWaiter(w, now)
@@ -450,7 +451,7 @@ func (s *shard) tick() {
 		return
 	}
 	s.grantLease(w, req, now)
-	if len(s.waiters[w]) > 0 && s.sched.Enqueue(w) {
+	if len(s.waiters[w]) > 0 && s.bus.Assert(w) {
 		// More clients share this identity: the line goes straight
 		// back up for the next of them, which is when its wait starts
 		// in the bus model.

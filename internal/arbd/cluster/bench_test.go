@@ -12,7 +12,7 @@ import (
 
 // benchTick matches the arbd transport benchmarks: the cycle should
 // be as short as stability allows, since the measurement is the
-// transport (and here the forwarding hop), not the grant scheduler.
+// transport (and here the forwarding hop), not the arbitration.
 const benchTick = 50 * time.Microsecond
 
 // benchCluster builds a two-node cluster serving one uncontended

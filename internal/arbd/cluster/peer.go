@@ -185,7 +185,7 @@ func (p *peer) teardown(conn net.Conn, msg string) {
 		p.w = nil
 	}
 	var chans []chan arbd.ForwardReply
-	for _, ch := range p.pending {
+	for _, ch := range p.pending { //arblint:allow determinism every in-flight forward fails with the same reply
 		chans = append(chans, ch)
 	}
 	p.pending = make(map[uint64]chan arbd.ForwardReply)

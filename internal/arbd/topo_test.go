@@ -119,7 +119,7 @@ func TestTreeResourceValidate(t *testing.T) {
 		{"both", ResourceConfig{Name: "r", Protocol: "RR1", Topo: leaf}, "not both"},
 		{"agents mismatch", ResourceConfig{Name: "r", Agents: 5, Topo: tree}, "does not match"},
 		{"bad proto", ResourceConfig{Name: "r",
-			Topo: &topo.Spec{Protocol: "RR2", Agents: 4}}, "unknown protocol"},
+			Topo: &topo.Spec{Protocol: "LRU", Agents: 4}}, "unknown protocol"},
 		{"malformed tree", ResourceConfig{Name: "r",
 			Topo: &topo.Spec{Protocol: "FCFS2", Children: []topo.Spec{
 				{Protocol: "RR1", Agents: 4}}}}, "at least 2 children"},
@@ -138,5 +138,10 @@ func TestTreeResourceValidate(t *testing.T) {
 		if err := (Config{Resources: []ResourceConfig{rc}}).Validate(); err != nil {
 			t.Errorf("Agents=%d: Validate = %v, want ok", agents, err)
 		}
+	}
+	// Every registered protocol serves, RR2 included.
+	rc := ResourceConfig{Name: "r", Topo: &topo.Spec{Protocol: "RR2", Agents: 4}}
+	if err := (Config{Resources: []ResourceConfig{rc}}).Validate(); err != nil {
+		t.Errorf("RR2 leaf: Validate = %v, want ok", err)
 	}
 }

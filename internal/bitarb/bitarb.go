@@ -27,9 +27,9 @@
 // Identities are 1..n (identity 0 is reserved to mean "no competitor",
 // §2.1); bit i of the word row carries agent i, so bit 0 is never set.
 // All operations are allocation-free after construction; the packages
-// riding on the kernel (contention, core, grant) keep the boolean
-// wired-OR settle as the oracle and pin bit-identical winner sequences
-// against it.
+// riding on the kernel (contention, core) keep the boolean wired-OR
+// settle as the oracle and pin bit-identical winner sequences against
+// it.
 package bitarb
 
 import (
@@ -58,6 +58,23 @@ func NewVec(n int) *Vec {
 		panic(fmt.Sprintf("bitarb: Vec needs at least 1 identity, got %d", n))
 	}
 	return &Vec{n: n, w: make([]uint64, wordsFor(n))}
+}
+
+// InitVecs makes each of vs an empty bitmap for identities 1..n, all
+// backed by one word allocation: a driver's live request lines and its
+// arbitration snapshot cost a single allocation between them.
+//
+//arblint:alloc constructor: one word block per driver, at setup
+func InitVecs(n int, vs ...*Vec) {
+	if n < 1 {
+		panic(fmt.Sprintf("bitarb: Vec needs at least 1 identity, got %d", n))
+	}
+	nw := wordsFor(n)
+	words := make([]uint64, nw*len(vs))
+	for i, v := range vs {
+		v.n = n
+		v.w = words[i*nw : (i+1)*nw : (i+1)*nw]
+	}
 }
 
 // N returns the highest identity the bitmap can hold.
@@ -126,6 +143,19 @@ func (v *Vec) Clone() *Vec {
 	c := NewVec(v.n)
 	copy(c.w, v.w)
 	return c
+}
+
+// AppendIDs appends the set identities to dst in ascending order and
+// returns the extended slice: the sorted request-line listing that
+// observers record. O(words + set bits).
+func (v *Vec) AppendIDs(dst []int) []int {
+	for wi, w := range v.w {
+		for w != 0 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Words exposes the backing words (bit i of word i/64 is identity i).

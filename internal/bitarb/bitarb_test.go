@@ -352,6 +352,52 @@ func TestCountersPanics(t *testing.T) {
 	mustPanic("Zero(5)", func() { c.Zero(5) })
 	mustPanic("MaxIn mismatch", func() { c.MaxIn(NewVec(5)) })
 }
+func TestVecAppendIDs(t *testing.T) {
+	for _, n := range boundaryNs {
+		v := NewVec(n)
+		var want []int
+		for i := 1; i <= n; i += 1 + i%5 {
+			v.Set(i)
+			want = append(want, i)
+		}
+		got := v.AppendIDs([]int{-1})
+		if len(got) != len(want)+1 || got[0] != -1 {
+			t.Fatalf("n=%d: AppendIDs did not append to dst: %v", n, got)
+		}
+		for i, id := range want {
+			if got[i+1] != id {
+				t.Fatalf("n=%d: AppendIDs = %v, want %v after the dst prefix", n, got[1:], want)
+			}
+		}
+	}
+	if ids := NewVec(5).AppendIDs(nil); len(ids) != 0 {
+		t.Errorf("empty bitmap listed %v", ids)
+	}
+}
+
+func TestInitVecsShareOneAllocation(t *testing.T) {
+	for _, n := range boundaryNs {
+		var a, b Vec
+		InitVecs(n, &a, &b)
+		if a.N() != n || b.N() != n {
+			t.Fatalf("n=%d: InitVecs sized the bitmaps %d and %d", n, a.N(), b.N())
+		}
+		for i := 1; i <= n; i++ {
+			a.Set(i)
+		}
+		if b.Any() {
+			t.Fatalf("n=%d: setting every bit of one bitmap leaked into the other", n)
+		}
+		b.CopyFrom(&a)
+		if b.Count() != n {
+			t.Fatalf("n=%d: CopyFrom between InitVecs bitmaps copied %d bits", n, b.Count())
+		}
+	}
+	var a, b, c Vec
+	if allocs := testing.AllocsPerRun(10, func() { InitVecs(300, &a, &b, &c) }); allocs != 1 {
+		t.Errorf("InitVecs allocates %v times, want 1", allocs)
+	}
+}
 
 // TestSteadyStateAllocs pins the kernel's zero-allocation contract:
 // every operation the hot arbitration paths use runs without
@@ -368,6 +414,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	work := func() {
 		v.Max()
 		v.MaxBelow(77)
+		v.CopyFrom(v)
 		p.Resolve(v)
 		c.Inc(v)
 		c.IncExceptZero(v)

@@ -25,6 +25,7 @@ package bussim
 import (
 	"fmt"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/dist"
 	"busarb/internal/obs"
@@ -42,8 +43,8 @@ type Config struct {
 	// one of Protocol and Topology.
 	Protocol core.Factory
 	// Topology, if non-nil, arbitrates over a tree of clusters instead
-	// of one flat bus (topo.SimTree drives the same cycle loop through
-	// the core.Protocol face). N must equal Topology.TotalAgents().
+	// of one flat bus (topo.Tree drives the same cycle loop through the
+	// core.Protocol interface). N must equal Topology.TotalAgents().
 	// Tree runs emit one ArbitrationResolve event per level of the
 	// winner's path, carrying Level and the per-hop Wait; Window > 1
 	// is not supported on trees.
@@ -302,7 +303,7 @@ type system struct {
 	cfg      Config
 	sched    sim.Scheduler
 	proto    core.Protocol
-	tree     *topo.SimTree       // non-nil iff cfg.Topology is set (== proto)
+	tree     *topo.Tree          // non-nil iff cfg.Topology is set (== proto)
 	classReq core.ClassRequester // nil if the protocol ignores classes
 	agents   []*agentState       // index by id (0 unused)
 
@@ -311,13 +312,15 @@ type system struct {
 	arbitrating  bool
 	pendingWin   int
 
-	// arbSnap is the request-line snapshot of the arbitration in
-	// flight. Only one arbitration is ever in flight (arbitrating
-	// guards), so a single reusable buffer suffices; resolveFn is the
-	// prebound resolution event.
-	arbSnap    []int
-	arbExposed bool
-	resolveFn  func()
+	// lines mirrors the shared request lines: agent i's bit is set
+	// while it has a request not yet in service (waitingCount is its
+	// population count). snap is the copy the arbitration in flight
+	// resolves over; only one arbitration is ever in flight
+	// (arbitrating guards), so one reusable bitmap suffices. resolveFn
+	// is the prebound resolution event.
+	lines, snap bitarb.Vec
+	arbExposed  bool
+	resolveFn   func()
 
 	service float64
 	arbOvh  float64
@@ -432,10 +435,10 @@ func Run(cfg Config) *Result {
 	}
 
 	var proto core.Protocol
-	var tree *topo.SimTree
+	var tree *topo.Tree
 	if cfg.Topology != nil {
 		var err error
-		tree, err = topo.NewSimTree(cfg.Topology)
+		tree, err = topo.NewTree(cfg.Topology)
 		if err != nil {
 			panic(err)
 		}
@@ -469,11 +472,11 @@ func Run(cfg Config) *Result {
 		batchSize:      int64(cfg.BatchSize),
 		batchAgentCnt:  make([]int64, cfg.N+1),
 		agentBatches:   make([][]float64, cfg.N),
-		arbSnap:        make([]int, 0, cfg.N),
 		waitBatchMeans: make([]float64, 0, cfg.Batches),
 		waitBatchStds:  make([]float64, 0, cfg.Batches),
 		utilBatches:    make([]float64, 0, cfg.Batches),
 	}
+	bitarb.InitVecs(cfg.N, &s.lines, &s.snap)
 	s.resolveFn = s.resolveArbitration
 	for i := range s.agentBatches {
 		s.agentBatches[i] = make([]float64, 0, cfg.Batches)
@@ -548,6 +551,7 @@ func (s *system) requestArrives(a *agentState) {
 	a.outstanding++
 	if !a.waiting() {
 		s.waitingCount++
+		s.lines.Set(a.id)
 	}
 	a.genTimes = append(a.genTimes, s.sched.Now())
 	a.urgent = a.urgentProb > 0 && a.src.Float64() < a.urgentProb
@@ -578,17 +582,10 @@ func (s *system) requestArrives(a *agentState) {
 	}
 }
 
-// snapshotWaiting refills arbSnap with the identities of all waiting
-// agents, ascending (the iteration order). The buffer is reused across
-// arbitrations; only one snapshot is live at a time.
-func (s *system) snapshotWaiting() {
-	s.arbSnap = s.arbSnap[:0]
-	for id := 1; id <= s.cfg.N; id++ {
-		if s.agents[id].waiting() {
-			s.arbSnap = append(s.arbSnap, id)
-		}
-	}
-}
+// snapshotWaiting latches the request lines into snap: an O(words)
+// copy, reused across arbitrations since only one snapshot is live at
+// a time.
+func (s *system) snapshotWaiting() { s.snap.CopyFrom(&s.lines) }
 
 // beginArbitration starts an arbitration among the agents asserting the
 // request line right now (the snapshot); it resolves after the
@@ -605,10 +602,10 @@ func (s *system) beginArbitration(exposed bool) {
 	}
 	s.snapshotWaiting()
 	if s.cfg.Observer != nil {
-		// Probes may retain events, so the shared snapshot buffer must
-		// be copied out (observed runs are not the allocation-free path).
+		// Probes may retain events, so the snapshot is listed into a
+		// fresh slice (observed runs are not the allocation-free path).
 		s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
-			Agents: append([]int(nil), s.arbSnap...)})
+			Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})
 	}
 	s.sched.After(s.arbOvh, s.resolveFn)
 }
@@ -626,7 +623,7 @@ func (s *system) resolveArbitration() {
 	if s.cfg.LateJoin {
 		s.snapshotWaiting()
 	}
-	out := s.proto.Arbitrate(s.arbSnap)
+	out := s.proto.Arbitrate(&s.snap)
 	if out.Repass {
 		s.res.Repasses++
 		s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.Repass})
@@ -674,6 +671,7 @@ func (s *system) startService(id int) {
 		a.genTimes = a.genTimes[:0]
 		a.genHead = 0
 		s.waitingCount--
+		s.lines.Clear(id)
 	}
 	s.busBusy = true
 	s.pendingWin = 0

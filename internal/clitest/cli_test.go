@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -126,6 +127,35 @@ func TestCLIFailurePathsExitNonZero(t *testing.T) {
 				t.Errorf("stderr %q does not contain %q", stderr, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestUnknownProtocolListingIsSorted pins the "known protocols:" line
+// an unknown -protocol prints: sorted, and byte-identical from run to
+// run (a registry listed in map order changes on every run).
+func TestUnknownProtocolListingIsSorted(t *testing.T) {
+	bins := buildCmds(t)
+	var first string
+	for i := 0; i < 3; i++ {
+		code, stderr := run(t, bins["arbsim"], "", "-protocol", "BOGUS")
+		if code != 1 {
+			t.Fatalf("exit code %d, want 1 (stderr: %s)", code, stderr)
+		}
+		var line string
+		for _, l := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(l, "known protocols: ") {
+				line = l
+			}
+		}
+		list := strings.Trim(strings.TrimPrefix(line, "known protocols: "), "[]")
+		if names := strings.Fields(list); len(names) < 2 || !sort.StringsAreSorted(names) {
+			t.Fatalf("listing %q is not a sorted protocol list (stderr: %s)", line, stderr)
+		}
+		if i == 0 {
+			first = line
+		} else if line != first {
+			t.Errorf("run %d listed %q, run 1 listed %q", i+1, line, first)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "busarb/internal/ident"
+import (
+	"busarb/internal/bitarb"
+	"busarb/internal/ident"
+)
 
 // The two assured access protocols of §2.2 — the fairness mechanisms
 // the 1980s bus standards actually shipped, and the baselines whose
@@ -23,7 +26,6 @@ type AAP1 struct {
 	pending []bool
 	batchSz int
 	gen     int64
-	scratch
 }
 
 // NewAAP1 returns the Fastbus/NuBus/Multibus II assured access protocol
@@ -88,27 +90,18 @@ func (p *AAP1) OnServiceStart(id int, _ float64) {
 
 // Arbitrate implements Protocol: batch members compete on static
 // identity.
-func (p *AAP1) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	comps := p.compsBuf()
-	for _, id := range waiting {
-		if p.inBatch[id] {
-			comps = append(comps, id)
-		}
-	}
-	p.keepComps(comps)
-	if len(comps) == 0 {
+func (p *AAP1) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := contend(waiting, func(id int) (uint64, bool) {
+		return p.layout.Encode(ident.Number{Static: id}), p.inBatch[id]
+	})
+	if w == 0 {
 		// Unreachable under the simulator's contract (a waiting agent is
 		// in the batch or pending, and the batch is non-empty whenever
 		// anyone waits), but arbitrating among all waiters is the safe
 		// hardware-like fallback.
-		comps = waiting
+		w = waiting.Max()
 	}
-	nums := p.numsBuf(len(comps))
-	for i, id := range comps {
-		nums[i] = p.layout.Encode(ident.Number{Static: id})
-	}
-	return Outcome{Winner: comps[pickMax(nums)]}
+	return Outcome{Winner: w}
 }
 
 // Reset implements Protocol.
@@ -133,7 +126,6 @@ type AAP2 struct {
 	inhibited []bool
 	waiting   []bool
 	releases  int64
-	scratch
 }
 
 // NewAAP2 returns the Futurebus assured access protocol for n agents.
@@ -191,24 +183,17 @@ func (p *AAP2) release() {
 // OnServiceStart the moment the last active request is served; the
 // in-arbitration release here covers the remaining case of an inhibited
 // agent re-requesting before its flag cleared.
-func (p *AAP2) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	comps := p.compsBuf()
-	for _, id := range waiting {
-		if !p.inhibited[id] {
-			comps = append(comps, id)
-		}
-	}
-	p.keepComps(comps)
-	if len(comps) == 0 {
+func (p *AAP2) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := contend(waiting, func(id int) (uint64, bool) {
+		return p.layout.Encode(ident.Number{Static: id}), !p.inhibited[id]
+	})
+	if w == 0 {
+		// Every waiting agent is inhibited: a fairness release, after
+		// which they all compete.
 		p.release()
-		comps = waiting
+		w = waiting.Max()
 	}
-	nums := p.numsBuf(len(comps))
-	for i, id := range comps {
-		nums[i] = p.layout.Encode(ident.Number{Static: id})
-	}
-	return Outcome{Winner: comps[pickMax(nums)]}
+	return Outcome{Winner: w}
 }
 
 // Reset implements Protocol.

@@ -18,7 +18,6 @@ func (p *RR3) SetLastWinner(w int) { p.lastWinner = w }
 func (p *FCFS1) Clone() *FCFS1 {
 	c := *p
 	c.ctr = p.ctr.Clone()
-	c.arbVec = p.arbVec.Clone()
 	return &c
 }
 
@@ -27,7 +26,6 @@ func (p *FCFS2) Clone() *FCFS2 {
 	c := *p
 	c.ctr = p.ctr.Clone()
 	c.wait = p.wait.Clone()
-	c.arbVec = p.arbVec.Clone()
 	return &c
 }
 

@@ -38,9 +38,7 @@ type FCFS1 struct {
 	// per-arbitration lose increment is one word-parallel saturating
 	// add over the waiting bitmap, and the winner selection is the
 	// (counter, identity) plane tournament MaxIn.
-	ctr    *bitarb.Counters
-	arbVec *bitarb.Vec // scratch: the waiting set as a bitmap
-	scratch
+	ctr *bitarb.Counters
 }
 
 // NewFCFS1 returns the lose-counting FCFS implementation for n agents.
@@ -61,7 +59,6 @@ func NewFCFS1Bits(n, counterBits int) *FCFS1 {
 		layout:  ident.Layout{StaticBits: ident.Width(n), CounterBits: counterBits},
 		modulus: 1 << counterBits,
 		ctr:     bitarb.NewCounters(counterBits, n),
-		arbVec:  bitarb.NewVec(n),
 	}
 }
 
@@ -88,20 +85,15 @@ func (p *FCFS1) OnServiceStart(int, float64) {}
 // Arbitrate implements Protocol. The composite number is (counter,
 // static identity) lexicographically — exactly the kernel's counter
 // bit-plane tournament (MaxIn, ties toward higher identity). The lose
-// increment is one saturating word-parallel add over the losers.
-func (p *FCFS1) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	v := p.arbVec
-	v.Reset()
-	for _, id := range waiting {
-		v.Set(id)
-	}
-	w := p.ctr.MaxIn(v)
+// increment is one saturating word-parallel add over the request
+// lines; the winner's counter is then reset, so including it in the
+// add changes nothing.
+func (p *FCFS1) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := p.ctr.MaxIn(waiting)
 	// "Lose" increments (saturating at the field's maximum); "win"
 	// resets.
-	v.Clear(w)
+	p.ctr.Inc(waiting)
 	p.ctr.Zero(w)
-	p.ctr.Inc(v)
 	return Outcome{Winner: w}
 }
 
@@ -125,10 +117,8 @@ type FCFS2 struct {
 	// per-agent scan.
 	ctr     *bitarb.Counters
 	wait    *bitarb.Vec
-	arbVec  *bitarb.Vec // scratch: the competing set as a bitmap
-	lastT   float64     // time of the most recent a-incr pulse
+	lastT   float64 // time of the most recent a-incr pulse
 	hasLast bool
-	scratch
 }
 
 // NewFCFS2 returns the a-incr FCFS implementation for n agents. The
@@ -142,7 +132,6 @@ func NewFCFS2(n int) *FCFS2 {
 		layout: ident.Layout{StaticBits: w, CounterBits: w},
 		ctr:    bitarb.NewCounters(w, n),
 		wait:   bitarb.NewVec(n),
-		arbVec: bitarb.NewVec(n),
 	}
 }
 
@@ -176,14 +165,8 @@ func (p *FCFS2) OnServiceStart(id int, _ float64) { p.wait.Clear(id) }
 
 // Arbitrate implements Protocol: the same (counter, identity) plane
 // tournament as FCFS1; the counters only move on a-incr pulses.
-func (p *FCFS2) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	v := p.arbVec
-	v.Reset()
-	for _, id := range waiting {
-		v.Set(id)
-	}
-	return Outcome{Winner: p.ctr.MaxIn(v)}
+func (p *FCFS2) Arbitrate(waiting *bitarb.Vec) Outcome {
+	return Outcome{Winner: p.ctr.MaxIn(waiting)}
 }
 
 // Reset implements Protocol.
@@ -207,7 +190,6 @@ type Hybrid struct {
 	lastWinner int
 	lastT      float64
 	hasLast    bool
-	scratch
 }
 
 // NewHybrid returns the hybrid protocol for n agents.
@@ -248,17 +230,14 @@ func (p *Hybrid) OnRequest(id int, now float64) {
 func (p *Hybrid) OnServiceStart(id int, _ float64) { p.waiting[id] = false }
 
 // Arbitrate implements Protocol.
-func (p *Hybrid) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
-		nums[i] = p.layout.Encode(ident.Number{
+func (p *Hybrid) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := contend(waiting, func(id int) (uint64, bool) {
+		return p.layout.Encode(ident.Number{
 			Static:  id,
 			RR:      id < p.lastWinner,
 			Counter: p.counter[id],
-		})
-	}
-	w := waiting[pickMax(nums)]
+		}), true
+	})
 	p.lastWinner = w
 	return Outcome{Winner: w}
 }

@@ -68,7 +68,7 @@ func TestFCFS1CounterBound(t *testing.T) {
 				continue
 			}
 			sort.Ints(ids)
-			got := p.Arbitrate(ids).Winner
+			got := p.Arbitrate(lines(n, ids...)).Winner
 			want := oracle.arbitrate(ids)
 			if got != want {
 				t.Fatalf("n=%d round %d: FCFS1 granted %d, unbounded oracle %d", n, r, got, want)
@@ -119,10 +119,10 @@ func TestFCFS1NarrowCounterSaturationPreservesSeniority(t *testing.T) {
 	for _, id := range []int{1, 3, 4} {
 		p.OnRequest(id, 0)
 	}
-	if w := p.Arbitrate([]int{1, 3, 4}).Winner; w != 4 || wrappedArb([]int{1, 3, 4}) != 4 {
+	if w := p.Arbitrate(lines(p.N(), 1, 3, 4)).Winner; w != 4 || wrappedArb([]int{1, 3, 4}) != 4 {
 		t.Fatalf("first pass winner %d, want 4 (identity order at equal counters)", w)
 	}
-	if w := p.Arbitrate([]int{1, 3}).Winner; w != 3 || wrappedArb([]int{1, 3}) != 3 {
+	if w := p.Arbitrate(lines(p.N(), 1, 3)).Winner; w != 3 || wrappedArb([]int{1, 3}) != 3 {
 		t.Fatalf("second pass winner %d, want 3 (1-bit counters tie at 1)", w)
 	}
 
@@ -134,7 +134,7 @@ func TestFCFS1NarrowCounterSaturationPreservesSeniority(t *testing.T) {
 	if wrapped[1] != 0 {
 		t.Fatalf("wrapped counter of agent 1 = %d after two losses, want 0 (wrapped around)", wrapped[1])
 	}
-	if w := p.Arbitrate([]int{1, 2}).Winner; w != 1 {
+	if w := p.Arbitrate(lines(p.N(), 1, 2)).Winner; w != 1 {
 		t.Errorf("saturating FCFS1 granted %d, want the senior agent 1", w)
 	}
 	if w := wrappedArb([]int{1, 2}); w != 2 {

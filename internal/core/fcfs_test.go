@@ -54,7 +54,7 @@ func TestFCFS1CounterLifecycle(t *testing.T) {
 	p := NewFCFS1(4)
 	p.OnRequest(1, 0)
 	p.OnRequest(2, 0)
-	p.Arbitrate([]int{1, 2}) // 2 wins, 1 increments
+	p.Arbitrate(lines(p.N(), 1, 2)) // 2 wins, 1 increments
 	if p.Counter(1) != 1 {
 		t.Errorf("loser counter = %d, want 1", p.Counter(1))
 	}
@@ -70,9 +70,9 @@ func TestFCFS1CounterSaturates(t *testing.T) {
 	p.OnRequest(1, 0)
 	p.OnRequest(2, 0)
 	p.OnRequest(3, 0)
-	p.Arbitrate([]int{1, 2, 3}) // 3 wins; 1,2 -> ctr 1
+	p.Arbitrate(lines(p.N(), 1, 2, 3)) // 3 wins; 1,2 -> ctr 1
 	p.OnRequest(3, 1)
-	p.Arbitrate([]int{1, 2, 3}) // 2 wins (ctr 1, id 2 beats id 1); 1 saturates
+	p.Arbitrate(lines(p.N(), 1, 2, 3)) // 2 wins (ctr 1, id 2 beats id 1); 1 saturates
 	if p.Counter(1) != 1 {
 		t.Errorf("counter = %d, want saturated 1", p.Counter(1))
 	}
@@ -253,10 +253,10 @@ func TestHybridReset(t *testing.T) {
 	p := NewHybrid(4)
 	p.OnRequest(1, 0)
 	p.OnRequest(2, 1)
-	p.Arbitrate([]int{1, 2})
+	p.Arbitrate(lines(p.N(), 1, 2))
 	p.Reset()
 	p.OnRequest(3, 0)
-	if out := p.Arbitrate([]int{3}); out.Winner != 3 {
+	if out := p.Arbitrate(lines(p.N(), 3)); out.Winner != 3 {
 		t.Errorf("after reset, winner = %d", out.Winner)
 	}
 }

@@ -4,8 +4,19 @@ import (
 	"sort"
 	"testing"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/rng"
 )
+
+// lines returns the request-line bitmap of an n-agent bus with ids
+// asserted.
+func lines(n int, ids ...int) *bitarb.Vec {
+	v := bitarb.NewVec(n)
+	for _, id := range ids {
+		v.Set(id)
+	}
+	return v
+}
 
 // driver replays an arrival/arbitration history through a protocol,
 // tracking the waiting set the simulator would maintain.
@@ -52,7 +63,7 @@ func (d *driver) arbitrate() int {
 		if pass > 2 {
 			d.t.Fatalf("%s: more than 2 arbitration passes", d.p.Name())
 		}
-		out := d.p.Arbitrate(d.waitingIDs())
+		out := d.p.Arbitrate(lines(d.p.N(), d.waitingIDs()...))
 		if out.Repass {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/ident"
 )
 
@@ -30,7 +31,6 @@ type MultiFCFS struct {
 	r      int
 	layout ident.Layout
 	queues [][]int // per-agent FIFO of request counters
-	scratch
 }
 
 // NewMultiFCFS returns the multi-outstanding FCFS protocol for n agents
@@ -95,17 +95,14 @@ func (p *MultiFCFS) OnServiceStart(id int, _ float64) {
 
 // Arbitrate implements Protocol: each waiting agent competes with the
 // counter of its oldest (highest-counter) request.
-func (p *MultiFCFS) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
+func (p *MultiFCFS) Arbitrate(waiting *bitarb.Vec) Outcome {
+	return Outcome{Winner: contend(waiting, func(id int) (uint64, bool) {
 		q := p.queues[id]
 		if len(q) == 0 {
 			panic(fmt.Sprintf("core: agent %d waiting with empty queue", id))
 		}
-		nums[i] = p.layout.Encode(ident.Number{Static: id, Counter: q[0]})
-	}
-	return Outcome{Winner: waiting[pickMax(nums)]}
+		return p.layout.Encode(ident.Number{Static: id, Counter: q[0]}), true
+	})}
 }
 
 // Reset implements Protocol.

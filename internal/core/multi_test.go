@@ -36,7 +36,7 @@ func (d *multiDriver) waitingIDs() []int {
 }
 
 func (d *multiDriver) arbitrate() int {
-	out := d.p.Arbitrate(d.waitingIDs())
+	out := d.p.Arbitrate(lines(d.p.N(), d.waitingIDs()...))
 	d.outs[out.Winner]--
 	d.p.OnServiceStart(out.Winner, d.now)
 	return out.Winner

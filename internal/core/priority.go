@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/ident"
 )
 
@@ -43,7 +45,6 @@ type PriorityRR struct {
 	mode       RRPriorityMode
 	lastWinner int
 	urgent     []bool
-	scratch
 }
 
 // NewPriorityRR returns RR1 with priority integration for n agents.
@@ -77,17 +78,14 @@ func (p *PriorityRR) OnClassRequest(id int, _ float64, urgent bool) { p.urgent[i
 func (p *PriorityRR) OnServiceStart(id int, _ float64) { p.urgent[id] = false }
 
 // Arbitrate implements Protocol.
-func (p *PriorityRR) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
+func (p *PriorityRR) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := contend(waiting, func(id int) (uint64, bool) {
 		rr := id < p.lastWinner
 		if p.urgent[id] && p.mode == RRIgnoreWithinClass {
 			rr = true
 		}
-		nums[i] = p.layout.Encode(ident.Number{Static: id, RR: rr, Priority: p.urgent[id]})
-	}
-	w := waiting[pickMax(nums)]
+		return p.layout.Encode(ident.Number{Static: id, RR: rr, Priority: p.urgent[id]}), true
+	})
 	// Recorded winner identity excludes the priority and RR bits.
 	p.lastWinner = w
 	return Outcome{Winner: w}
@@ -129,7 +127,6 @@ type PriorityFCFS1 struct {
 	// overflows counts wrap events under CounterOverflow, so experiments
 	// can report how often the hazard fires.
 	overflows int64
-	scratch
 }
 
 // NewPriorityFCFS1 returns FCFS1 with priority integration for n agents.
@@ -175,19 +172,16 @@ func (p *PriorityFCFS1) OnClassRequest(id int, _ float64, urgent bool) {
 func (p *PriorityFCFS1) OnServiceStart(id int, _ float64) { p.urgent[id] = false }
 
 // Arbitrate implements Protocol.
-func (p *PriorityFCFS1) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
-		nums[i] = p.layout.Encode(ident.Number{
+func (p *PriorityFCFS1) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := contend(waiting, func(id int) (uint64, bool) {
+		return p.layout.Encode(ident.Number{
 			Static:   id,
 			Counter:  p.counter[id],
 			Priority: p.urgent[id],
-		})
-	}
-	w := waiting[pickMax(nums)]
+		}), true
+	})
 	winnerUrgent := p.urgent[w]
-	for _, id := range waiting {
+	for id := waiting.Max(); id > 0; id = waiting.MaxBelow(id) {
 		if id == w {
 			p.counter[id] = 0
 			continue
@@ -229,7 +223,6 @@ type PriorityFCFS2 struct {
 	urgent  []bool
 	lastT   [2]float64
 	hasLast [2]bool
-	scratch
 }
 
 // NewPriorityFCFS2 returns FCFS2 with dual increment lines for n agents.
@@ -283,17 +276,14 @@ func (p *PriorityFCFS2) OnServiceStart(id int, _ float64) {
 }
 
 // Arbitrate implements Protocol.
-func (p *PriorityFCFS2) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
-		nums[i] = p.layout.Encode(ident.Number{
+func (p *PriorityFCFS2) Arbitrate(waiting *bitarb.Vec) Outcome {
+	return Outcome{Winner: contend(waiting, func(id int) (uint64, bool) {
+		return p.layout.Encode(ident.Number{
 			Static:   id,
 			Counter:  p.counter[id],
 			Priority: p.urgent[id],
-		})
-	}
-	return Outcome{Winner: waiting[pickMax(nums)]}
+		}), true
+	})}
 }
 
 // Reset implements Protocol.
@@ -328,20 +318,22 @@ var Registry = map[string]Factory{
 	"FCFS2+prio":          func(n int) Protocol { return NewPriorityFCFS2(n) },
 }
 
-// ByName returns the factory registered under name.
+// ByName returns the factory registered under name, or an error
+// naming the valid choices.
 func ByName(name string) (Factory, error) {
 	f, ok := Registry[name]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown protocol %q", name)
+		return nil, fmt.Errorf("core: unknown protocol %q (have %v)", name, Names())
 	}
 	return f, nil
 }
 
-// Names returns all registered protocol names (unsorted).
+// Names returns all registered protocol names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(Registry))
 	for k := range Registry {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }

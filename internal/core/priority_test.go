@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"busarb/internal/rng"
@@ -222,7 +225,7 @@ func TestUrgentAlwaysBeforeNonUrgentProperty(t *testing.T) {
 func TestPriorityProtocolResets(t *testing.T) {
 	pr := NewPriorityRR(4, RRWithinClass)
 	pr.OnClassRequest(1, 0, true)
-	pr.Arbitrate([]int{1})
+	pr.Arbitrate(lines(pr.N(), 1))
 	pr.Reset()
 	if pr.lastWinner != 0 || pr.urgent[1] {
 		t.Error("PriorityRR Reset incomplete")
@@ -230,7 +233,7 @@ func TestPriorityProtocolResets(t *testing.T) {
 	pf := NewPriorityFCFS1(4, CounterOverflow)
 	pf.OnClassRequest(1, 0, true)
 	pf.OnClassRequest(2, 0, false)
-	pf.Arbitrate([]int{1, 2})
+	pf.Arbitrate(lines(pf.N(), 1, 2))
 	pf.Reset()
 	if pf.Counter(2) != 0 || pf.Overflows() != 0 {
 		t.Error("PriorityFCFS1 Reset incomplete")
@@ -278,5 +281,22 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(Names()) != len(Registry) {
 		t.Error("Names() incomplete")
+	}
+}
+
+// TestByNameUnknown pins the registry listing — sorted, so every CLI
+// that prints it is run-to-run identical — and the unknown-name error,
+// which names the valid choices.
+func TestByNameUnknown(t *testing.T) {
+	names := Names()
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("Names() = %v, want sorted", names)
+	}
+	_, err := ByName("BOGUS")
+	if err == nil {
+		t.Fatal("ByName(BOGUS) succeeded")
+	}
+	if want := fmt.Sprint(names); !strings.Contains(err.Error(), want) {
+		t.Errorf("ByName(BOGUS) error %q does not list the choices %s", err, want)
 	}
 }

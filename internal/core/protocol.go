@@ -16,8 +16,7 @@
 package core
 
 import (
-	"fmt"
-
+	"busarb/internal/bitarb"
 	"busarb/internal/ident"
 )
 
@@ -37,9 +36,9 @@ type Outcome struct {
 // owns one instance per bus.
 //
 // The simulator calls OnRequest when an agent asserts the shared bus
-// request line, Arbitrate with the identities of all agents with
-// outstanding requests (ascending order) when an arbitration resolves,
-// and OnServiceStart when the winner assumes bus mastership.
+// request line, Arbitrate with the request lines of all agents with
+// outstanding requests when an arbitration resolves, and
+// OnServiceStart when the winner assumes bus mastership.
 type Protocol interface {
 	// Name returns the protocol's short name ("RR1", "FCFS2", ...).
 	Name() string
@@ -50,8 +49,11 @@ type Protocol interface {
 	// OnServiceStart records that agent id became bus master at now.
 	OnServiceStart(id int, now float64)
 	// Arbitrate selects the next bus master among the waiting agents.
-	// waiting is never empty and is sorted ascending.
-	Arbitrate(waiting []int) Outcome
+	// waiting holds one bit per request line, as a hardware arbiter
+	// takes them: it is never empty, is sized N, and is read-only to
+	// the protocol. Implementations do not scan it to validate, so a
+	// resolve over thousands of agents stays O(words).
+	Arbitrate(waiting *bitarb.Vec) Outcome
 	// Reset restores initial state.
 	Reset()
 }
@@ -59,54 +61,23 @@ type Protocol interface {
 // Factory builds a protocol instance for an n-agent bus.
 type Factory func(n int) Protocol
 
-// validateWaiting panics on malformed input; protocols are internal and
-// the simulator must uphold the contract.
-func validateWaiting(n int, waiting []int) {
-	if len(waiting) == 0 {
-		panic("core: Arbitrate with no waiting agents")
-	}
-	prev := 0
-	for _, id := range waiting {
-		if id <= prev || id > n {
-			panic(fmt.Sprintf("core: bad waiting set %v for n=%d", waiting, n))
+// contend runs one contention pass among the waiting agents: every
+// competitor applies its arbitration number and the largest wins — the
+// settled maximum of §2.1, which package contention verifies the
+// wired-OR lines compute. number returns an agent's arbitration number
+// and whether it competes at all. contend returns the winner, or 0 if
+// nobody competed. The numbers embed distinct static identities, so
+// the maximum is unique and the visiting order (highest identity
+// first) cannot change it.
+func contend(waiting *bitarb.Vec, number func(id int) (uint64, bool)) int {
+	winner, best := 0, uint64(0)
+	for id := waiting.Max(); id > 0; id = waiting.MaxBelow(id) {
+		if v, ok := number(id); ok && (winner == 0 || v > best) {
+			winner, best = id, v
 		}
-		prev = id
 	}
+	return winner
 }
-
-// pickMax runs the (abstract) maximum-finding arbitration over encoded
-// numbers and returns the index of the winner. It stands in for a
-// settled parallel contention arbitration; package contention verifies
-// that the wired-OR settle process computes exactly this maximum.
-func pickMax(nums []uint64) int {
-	_, idx := ident.Max(nums)
-	return idx
-}
-
-// scratch holds per-instance arbitration work buffers, embedded in every
-// protocol so Arbitrate is allocation free in steady state. The buffers
-// carry no state between calls — they model the (stateless) arbitration
-// lines, not registers — so verifier clones may safely share them.
-type scratch struct {
-	nums  []uint64
-	comps []int
-}
-
-// numsBuf returns a length-n scratch slice for arbitration numbers.
-func (s *scratch) numsBuf(n int) []uint64 {
-	if cap(s.nums) < n {
-		s.nums = make([]uint64, n)
-	}
-	return s.nums[:n]
-}
-
-// compsBuf returns an empty scratch slice for competitor identities;
-// callers append to it and pass the result back via keepComps so growth
-// is retained.
-func (s *scratch) compsBuf() []int { return s.comps[:0] }
-
-// keepComps stores the (possibly regrown) competitor buffer for reuse.
-func (s *scratch) keepComps(c []int) { s.comps = c }
 
 // ---------------------------------------------------------------------
 // Fixed priority (the raw parallel contention arbiter, §2.1).
@@ -117,7 +88,6 @@ func (s *scratch) keepComps(c []int) { s.comps = c }
 type FixedPriority struct {
 	n      int
 	layout ident.Layout
-	scratch
 }
 
 // NewFixedPriority returns a fixed-priority protocol for n agents.
@@ -138,13 +108,12 @@ func (p *FixedPriority) OnRequest(int, float64) {}
 func (p *FixedPriority) OnServiceStart(int, float64) {}
 
 // Arbitrate implements Protocol. The composite number is the static
-// identity alone, so the settled maximum is the largest waiting
-// identity — the tail of the (sorted ascending) waiting list. No
-// encode pass is needed; this is the kernel specialization of the
-// contention maximum for the fixed-priority layout.
-func (p *FixedPriority) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	return Outcome{Winner: waiting[len(waiting)-1]}
+// identity alone, so the settled maximum is the highest asserted
+// request line. No encode pass is needed; this is the kernel
+// specialization of the contention maximum for the fixed-priority
+// layout.
+func (p *FixedPriority) Arbitrate(waiting *bitarb.Vec) Outcome {
+	return Outcome{Winner: waiting.Max()}
 }
 
 // Reset implements Protocol.

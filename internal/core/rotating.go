@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"busarb/internal/bitarb"
+)
 
 // RotatingRR is the prior-art round-robin scheme the paper's §3.1
 // improves on: round-robin "implemented using a dynamic assignment of
@@ -84,12 +88,11 @@ func (p *RotatingRR) OnRequest(int, float64) {}
 func (p *RotatingRR) OnServiceStart(int, float64) {}
 
 // Arbitrate implements Protocol.
-func (p *RotatingRR) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
+func (p *RotatingRR) Arbitrate(waiting *bitarb.Vec) Outcome {
 	// Each competitor applies its dynamic number computed from its own
 	// base; the lines settle to the maximum.
 	best, bestID, dup := -1, 0, false
-	for _, id := range waiting {
+	for id := waiting.Max(); id > 0; id = waiting.MaxBelow(id) {
 		d := p.dyn(id, p.base[id])
 		switch {
 		case d > best:

@@ -1,28 +1,9 @@
 package core
 
 import (
-	"sort"
-
+	"busarb/internal/bitarb"
 	"busarb/internal/ident"
 )
-
-// boundary returns the number of waiting identities strictly below
-// limit. waiting is sorted ascending, so this is a binary search and
-// waiting[:boundary] is the inhibited-competition segment.
-func boundary(waiting []int, limit int) int {
-	return sort.SearchInts(waiting, limit)
-}
-
-// maxBelowOrMax returns the largest waiting identity strictly below
-// limit, or the overall largest if none is. This is the round-robin
-// scan j-1..1, N..j realized as a boundary lookup on the sorted
-// waiting list.
-func maxBelowOrMax(waiting []int, limit int) int {
-	if i := boundary(waiting, limit); i > 0 {
-		return waiting[i-1]
-	}
-	return waiting[len(waiting)-1]
-}
 
 // The distributed round-robin protocol (§3.1). The scheduling rule,
 // common to all three implementations: if agent j won the previous
@@ -45,7 +26,6 @@ type RR1 struct {
 	n          int
 	layout     ident.Layout
 	lastWinner int
-	scratch
 }
 
 // NewRR1 returns the round-robin-priority-bit implementation for n
@@ -75,12 +55,13 @@ func (p *RR1) OnServiceStart(int, float64) {}
 // Arbitrate implements Protocol. The RR bit is the number's MSB, so
 // agents below the previous winner outrank everyone else: the settled
 // maximum is the largest waiting identity strictly below lastWinner,
-// falling back to the overall largest. On the sorted waiting list that
-// is the thermometer split of the kernel (bitarb.Vec.MaxBelow)
-// specialized to a boundary lookup — no encode pass.
-func (p *RR1) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	w := maxBelowOrMax(waiting, p.lastWinner)
+// falling back to the overall largest — the thermometer split of the
+// kernel (bitarb.Vec.MaxBelow), with no encode pass.
+func (p *RR1) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := waiting.MaxBelow(p.lastWinner)
+	if w < 0 {
+		w = waiting.Max()
+	}
 	// Each agent records the winner's identity, excluding the RR bit.
 	p.lastWinner = w
 	return Outcome{Winner: w}
@@ -100,7 +81,6 @@ type RR2 struct {
 	n          int
 	layout     ident.Layout
 	lastWinner int
-	scratch
 }
 
 // NewRR2 returns the low-request-line implementation for n agents.
@@ -125,12 +105,14 @@ func (p *RR2) OnServiceStart(int, float64) {}
 
 // Arbitrate implements Protocol. The low-request line restricts the
 // competition to identities below the previous winner when any such
-// agent waits; the winner is therefore the same boundary lookup as
+// agent waits; the winner is therefore the same thermometer split as
 // RR1's — the largest waiting identity below lastWinner, else the
 // overall largest (identical grant sequences, as the paper notes).
-func (p *RR2) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	w := maxBelowOrMax(waiting, p.lastWinner)
+func (p *RR2) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := waiting.MaxBelow(p.lastWinner)
+	if w < 0 {
+		w = waiting.Max()
+	}
 	p.lastWinner = w
 	return Outcome{Winner: w}
 }
@@ -148,7 +130,6 @@ type RR3 struct {
 	n          int
 	layout     ident.Layout
 	lastWinner int
-	scratch
 }
 
 // NewRR3 returns the no-extra-line implementation for n agents. The
@@ -175,18 +156,16 @@ func (p *RR3) OnRequest(int, float64) {}
 func (p *RR3) OnServiceStart(int, float64) {}
 
 // Arbitrate implements Protocol. Only identities below lastWinner
-// compete, so the settled maximum is the boundary lookup on the sorted
-// waiting list; an empty segment is the empty pass.
-func (p *RR3) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
-	i := boundary(waiting, p.lastWinner)
-	if i == 0 {
+// compete, so the settled maximum is the thermometer split alone; an
+// empty segment is the empty pass.
+func (p *RR3) Arbitrate(waiting *bitarb.Vec) Outcome {
+	w := waiting.MaxBelow(p.lastWinner)
+	if w < 0 {
 		// Winning identity zero: no agent participated. Record N+1 and
 		// rerun (§3.1, third implementation).
 		p.lastWinner = p.n + 1
 		return Outcome{Repass: true}
 	}
-	w := waiting[i-1]
 	p.lastWinner = w
 	return Outcome{Winner: w}
 }

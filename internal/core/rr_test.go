@@ -72,23 +72,23 @@ func TestRR1NoStarvation(t *testing.T) {
 func TestRR3RepassSemantics(t *testing.T) {
 	p := NewRR3(6)
 	// lastWinner starts 0: first pass is empty and must repass.
-	out := p.Arbitrate([]int{3, 5})
+	out := p.Arbitrate(lines(p.N(), 3, 5))
 	if !out.Repass || out.Winner != 0 {
 		t.Fatalf("first pass = %+v, want repass", out)
 	}
 	if p.LastWinner() != 7 {
 		t.Fatalf("after empty pass, recorded winner = %d, want N+1 = 7", p.LastWinner())
 	}
-	out = p.Arbitrate([]int{3, 5})
+	out = p.Arbitrate(lines(p.N(), 3, 5))
 	if out.Repass || out.Winner != 5 {
 		t.Fatalf("second pass = %+v, want winner 5", out)
 	}
 	// Now only 6 waits: 6 >= 5 so another empty pass.
-	out = p.Arbitrate([]int{6})
+	out = p.Arbitrate(lines(p.N(), 6))
 	if !out.Repass {
 		t.Fatalf("pass with only higher ids = %+v, want repass", out)
 	}
-	out = p.Arbitrate([]int{6})
+	out = p.Arbitrate(lines(p.N(), 6))
 	if out.Winner != 6 {
 		t.Fatalf("after reset, winner = %d, want 6", out.Winner)
 	}
@@ -153,15 +153,15 @@ func TestRRMatchesCentralOracle(t *testing.T) {
 
 func TestRRReset(t *testing.T) {
 	for _, p := range []Protocol{NewRR1(4), NewRR2(4), NewRR3(4)} {
-		p.Arbitrate([]int{1, 2})
-		if out := p.Arbitrate([]int{1, 2}); out.Repass {
-			p.Arbitrate([]int{1, 2})
+		p.Arbitrate(lines(p.N(), 1, 2))
+		if out := p.Arbitrate(lines(p.N(), 1, 2)); out.Repass {
+			p.Arbitrate(lines(p.N(), 1, 2))
 		}
 		p.Reset()
 		// After reset, RR1/RR2 grant max id; RR3 repasses first.
-		out := p.Arbitrate([]int{1, 3})
+		out := p.Arbitrate(lines(p.N(), 1, 3))
 		if out.Repass {
-			out = p.Arbitrate([]int{1, 3})
+			out = p.Arbitrate(lines(p.N(), 1, 3))
 		}
 		if out.Winner != 3 {
 			t.Errorf("%s after Reset: winner = %d, want 3", p.Name(), out.Winner)
@@ -175,19 +175,5 @@ func TestRRNames(t *testing.T) {
 	}
 	if NewRR1(4).N() != 4 {
 		t.Error("N wrong")
-	}
-}
-
-func TestValidateWaitingPanics(t *testing.T) {
-	cases := [][]int{{}, {0}, {1, 1}, {2, 1}, {9}}
-	for _, waiting := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("waiting=%v did not panic", waiting)
-				}
-			}()
-			NewRR1(8).Arbitrate(waiting)
-		}()
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "busarb/internal/ident"
+import (
+	"busarb/internal/bitarb"
+	"busarb/internal/ident"
+)
 
 // TicketFCFS is the prior-art distributed FCFS the paper cites
 // ([ShAh81], "A First-Come-First-Serve Bus Allocation Scheme Using
@@ -23,7 +26,6 @@ type TicketFCFS struct {
 	next    int
 	ticket  []int
 	holds   []bool
-	scratch
 	// TicketCycles counts ticket-dispense operations (one per request):
 	// bus cycles a real implementation would spend beyond the paper's
 	// protocols.
@@ -65,20 +67,17 @@ func (p *TicketFCFS) OnServiceStart(id int, _ float64) { p.holds[id] = false }
 // Arbitrate implements Protocol: the oldest ticket wins. The agents
 // map circular ticket age onto the counter field so the standard
 // maximum-finding arbitration selects it (older = larger age).
-func (p *TicketFCFS) Arbitrate(waiting []int) Outcome {
-	validateWaiting(p.n, waiting)
+func (p *TicketFCFS) Arbitrate(waiting *bitarb.Vec) Outcome {
 	// Age is measured backwards from the dispenser's next value; with a
 	// 2k-bit counter and at most N outstanding tickets, ages never
 	// wrap ambiguously.
-	nums := p.numsBuf(len(waiting))
-	for i, id := range waiting {
+	return Outcome{Winner: contend(waiting, func(id int) (uint64, bool) {
 		age := (p.next - p.ticket[id] + p.modulus) % p.modulus
 		if age >= p.modulus {
 			age = p.modulus - 1
 		}
-		nums[i] = p.layout.Encode(ident.Number{Static: id, Counter: age % p.modulus})
-	}
-	return Outcome{Winner: waiting[pickMax(nums)]}
+		return p.layout.Encode(ident.Number{Static: id, Counter: age % p.modulus}), true
+	})}
 }
 
 // Reset implements Protocol.

@@ -3,17 +3,19 @@ package cyclesim
 import (
 	"fmt"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/rng"
 )
 
 // crossShadow mirrors the Bus tick state machine but selects winners
 // via an abstract core.Protocol, so the two can be driven through an
-// identical request history and compared grant-for-grant.
+// identical request history and compared grant-for-grant: equal grant
+// orders prove the line-level register/comparator/wired-OR hardware
+// implements exactly the abstract protocol.
 type crossShadow struct {
 	proto      core.Protocol
-	n          int
-	waiting    []bool
+	waiting    *bitarb.Vec // the request lines
 	busyTicks  int
 	nextMaster int
 	arbNeeded  bool
@@ -23,41 +25,31 @@ type crossShadow struct {
 }
 
 func newCrossShadow(p core.Protocol) *crossShadow {
-	return &crossShadow{proto: p, n: p.N(), waiting: make([]bool, p.N()+1)}
+	return &crossShadow{proto: p, waiting: bitarb.NewVec(p.N())}
 }
 
 func (s *crossShadow) request(id int) {
-	s.waiting[id] = true
+	s.waiting.Set(id)
 	// Strictly increasing timestamps: arrivals within one tick are
 	// distinct a-incr pulses, matching the Bus's Request semantics.
 	s.reqSeq += 0.001
 	s.proto.OnRequest(id, float64(s.tick)+s.reqSeq)
 }
 
-func (s *crossShadow) waitingIDs() []int {
-	var ids []int
-	for id := 1; id <= s.n; id++ {
-		if s.waiting[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 func (s *crossShadow) step() {
 	if s.busyTicks == 0 && s.nextMaster != 0 {
 		id := s.nextMaster
 		s.nextMaster = 0
-		s.waiting[id] = false
+		s.waiting.Clear(id)
 		s.busyTicks = 2
 		s.grants = append(s.grants, id)
 		s.proto.OnServiceStart(id, float64(s.tick))
 	}
-	if s.nextMaster == 0 && len(s.waitingIDs()) > 0 {
+	if s.nextMaster == 0 && s.waiting.Any() {
 		justStarted := s.busyTicks == 2
 		idle := s.busyTicks == 0
 		if justStarted || idle || s.arbNeeded {
-			out := s.proto.Arbitrate(s.waitingIDs())
+			out := s.proto.Arbitrate(s.waiting)
 			if out.Repass {
 				s.arbNeeded = true
 			} else {
@@ -92,7 +84,7 @@ func CrossCheck(kind Kind, factory core.Factory, n, trials, ticks int, seed uint
 			for k := 0; k < 1+src.Intn(2); k++ {
 				if src.Intn(3) == 0 {
 					id := 1 + src.Intn(n)
-					if !bus.Waiting(id) && !shadow.waiting[id] {
+					if !bus.Waiting(id) && !shadow.waiting.Test(id) {
 						bus.Request(id)
 						shadow.request(id)
 					}

@@ -155,75 +155,6 @@ func TestRunUntilIdle(t *testing.T) {
 	}
 }
 
-// tickShadow mirrors the Bus tick state machine but selects winners via
-// an abstract core.Protocol. Grant-order equality between Bus and its
-// shadow proves the line-level register/comparator/wired-OR hardware
-// implements exactly the abstract protocol.
-type tickShadow struct {
-	proto      core.Protocol
-	n          int
-	waiting    map[int]bool
-	busyTicks  int
-	nextMaster int
-	arbNeeded  bool
-	tick       int64
-	reqSeq     float64
-	grants     []int
-}
-
-func newShadow(p core.Protocol) *tickShadow {
-	return &tickShadow{proto: p, n: p.N(), waiting: map[int]bool{}}
-}
-
-func (s *tickShadow) request(id int) {
-	if s.waiting[id] {
-		panic("shadow: double request")
-	}
-	s.waiting[id] = true
-	// Strictly increasing timestamps: arrivals within one tick are
-	// distinct a-incr pulses, matching cyclesim's Request semantics.
-	s.reqSeq += 0.001
-	s.proto.OnRequest(id, float64(s.tick)+s.reqSeq)
-}
-
-func (s *tickShadow) waitingIDs() []int {
-	var ids []int
-	for id := 1; id <= s.n; id++ {
-		if s.waiting[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-func (s *tickShadow) step() {
-	if s.busyTicks == 0 && s.nextMaster != 0 {
-		id := s.nextMaster
-		s.nextMaster = 0
-		s.waiting[id] = false
-		s.busyTicks = 2
-		s.grants = append(s.grants, id)
-		s.proto.OnServiceStart(id, float64(s.tick))
-	}
-	if s.nextMaster == 0 && len(s.waitingIDs()) > 0 {
-		justStarted := s.busyTicks == 2
-		idle := s.busyTicks == 0
-		if justStarted || idle || s.arbNeeded {
-			out := s.proto.Arbitrate(s.waitingIDs())
-			if out.Repass {
-				s.arbNeeded = true
-			} else {
-				s.arbNeeded = false
-				s.nextMaster = out.Winner
-			}
-		}
-	}
-	if s.busyTicks > 0 {
-		s.busyTicks--
-	}
-	s.tick++
-}
-
 // TestLineLevelMatchesAbstract drives the wired-OR hardware model and
 // the abstract protocol through identical random request histories and
 // requires identical grant sequences.
@@ -246,13 +177,13 @@ func TestLineLevelMatchesAbstract(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			n := 2 + src.Intn(12)
 			bus := New(pair.kind, n)
-			shadow := newShadow(pair.mk(n))
+			shadow := newCrossShadow(pair.mk(n))
 			for tick := 0; tick < 400; tick++ {
 				// Random arrivals before this tick.
 				for k := 0; k < 1+src.Intn(2); k++ {
 					if src.Intn(3) == 0 {
 						id := 1 + src.Intn(n)
-						if !bus.Waiting(id) && !shadow.waiting[id] {
+						if !bus.Waiting(id) && !shadow.waiting.Test(id) {
 							bus.Request(id)
 							shadow.request(id)
 						}

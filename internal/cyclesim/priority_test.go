@@ -81,18 +81,18 @@ func TestLineLevelPriorityMatchesAbstract(t *testing.T) {
 			n := 2 + src.Intn(10)
 			bus := NewPriority(pair.kind, n)
 			proto := pair.mk(n)
-			shadow := newShadow(proto)
+			shadow := newCrossShadow(proto)
 			for tick := 0; tick < 300; tick++ {
 				if src.Intn(3) == 0 {
 					id := 1 + src.Intn(n)
-					if !bus.Waiting(id) && !shadow.waiting[id] {
+					if !bus.Waiting(id) && !shadow.waiting.Test(id) {
 						urgent := src.Intn(3) == 0
 						if urgent {
 							bus.RequestUrgent(id)
 						} else {
 							bus.Request(id)
 						}
-						shadow.waiting[id] = true
+						shadow.waiting.Set(id)
 						shadow.reqSeq += 0.001
 						proto.OnClassRequest(id, float64(shadow.tick)+shadow.reqSeq, urgent)
 					}

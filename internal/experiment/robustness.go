@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/rng"
 )
@@ -32,13 +33,19 @@ type RobustnessRow struct {
 // saturated bus for the given number of grants per fault period.
 func Robustness(n, grants int, faultPeriods []int, seed uint64) []RobustnessRow {
 	rows := make([]RobustnessRow, 0, len(faultPeriods))
+	// Saturated: every request line stays up for the whole study (the
+	// served agent requests again at once).
+	waiting := bitarb.NewVec(n)
+	for id := 1; id <= n; id++ {
+		waiting.Set(id)
+	}
 	for _, period := range faultPeriods {
 		rot := core.NewRotatingRR(n)
 		rr := core.NewRR1(n)
 		src := rng.New(seed)
-		rotCounts := saturatedWithFaults(rot, n, grants, period, src,
+		rotCounts := saturatedWithFaults(rot, waiting, grants, period, src,
 			func(agent int) { rot.Corrupt(agent, 1+src.Intn(n)) })
-		rrCounts := saturatedWithFaults(rr, n, grants, period, src,
+		rrCounts := saturatedWithFaults(rr, waiting, grants, period, src,
 			func(int) { rr.SetLastWinner(1 + src.Intn(n)) })
 		rows = append(rows, RobustnessRow{
 			FaultEvery:    period,
@@ -51,12 +58,12 @@ func Robustness(n, grants int, faultPeriods []int, seed uint64) []RobustnessRow 
 }
 
 // saturatedWithFaults drives a protocol at saturation (every agent
-// re-requests immediately after service), injecting a fault every
-// `period` grants (0 disables), and returns per-agent grant counts.
-func saturatedWithFaults(p core.Protocol, n, grants, period int, src *rng.Source, inject func(agent int)) []int {
-	waiting := make([]int, 0, n)
+// re-requests immediately after service, so waiting holds every line),
+// injecting a fault every `period` grants (0 disables), and returns
+// per-agent grant counts.
+func saturatedWithFaults(p core.Protocol, waiting *bitarb.Vec, grants, period int, src *rng.Source, inject func(agent int)) []int {
+	n := waiting.N()
 	for id := 1; id <= n; id++ {
-		waiting = append(waiting, id)
 		p.OnRequest(id, float64(id))
 	}
 	counts := make([]int, n+1)

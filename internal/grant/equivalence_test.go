@@ -3,121 +3,92 @@ package grant
 import (
 	"testing"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/rng"
 )
 
-// The equivalence property: a grant.Scheduler is the simulators'
-// protocol logic re-hosted in real time, so on the same deterministic
-// arrival trace it must produce the same winner sequence as its
-// internal/core counterpart driven the way internal/bussim drives it
-// (OnRequest per arrival, Arbitrate over the ascending waiting set,
-// repass re-arbitration, OnServiceStart for the winner). This is the
-// contract that lets arbd claim the paper's fairness results transfer
-// to the networked daemon.
-
-// coreDriver adapts a core.Protocol to the Enqueue/Resolve surface,
-// replaying bussim's calling convention with strictly increasing
-// synthetic times (distinct wall-clock arrivals: over the network no
-// two requests share FCFS2's a-incr sensing window).
-type coreDriver struct {
+// simDriver replays the simulators' calling convention against a
+// core.Protocol with no Bus code: OnRequest per arrival, Arbitrate
+// over a request-line snapshot with repasses re-run at once,
+// OnServiceStart for the winner, and one time step per call.
+type simDriver struct {
 	proto    core.Protocol
 	pending  []bool
-	npend    int
 	now      float64
 	repasses int64
-	waiting  []int
 }
 
-func newCoreDriver(f core.Factory, n int) *coreDriver {
-	return &coreDriver{proto: f(n), pending: make([]bool, n+1)}
-}
-
-func (d *coreDriver) tick() float64 { d.now++; return d.now }
-
-func (d *coreDriver) enqueue(id int) {
-	if d.pending[id] {
-		return
-	}
+func (d *simDriver) request(id int) {
 	d.pending[id] = true
-	d.npend++
-	d.proto.OnRequest(id, d.tick())
+	d.now++
+	d.proto.OnRequest(id, d.now)
 }
 
-func (d *coreDriver) resolve() int {
-	if d.npend == 0 {
-		return 0
-	}
-	d.waiting = d.waiting[:0]
+func (d *simDriver) grant() int {
+	snap := bitarb.NewVec(d.proto.N())
 	for id := 1; id < len(d.pending); id++ {
 		if d.pending[id] {
-			d.waiting = append(d.waiting, id)
+			snap.Set(id)
 		}
 	}
-	out := d.proto.Arbitrate(d.waiting)
+	out := d.proto.Arbitrate(snap)
 	for out.Repass {
-		// bussim re-snapshots the (unchanged) request lines and runs a
-		// fresh pass immediately.
 		d.repasses++
-		out = d.proto.Arbitrate(d.waiting)
+		out = d.proto.Arbitrate(snap)
 	}
-	w := out.Winner
-	d.proto.OnServiceStart(w, d.tick())
-	d.pending[w] = false
-	d.npend--
-	return w
+	d.pending[out.Winner] = false
+	d.now++
+	d.proto.OnServiceStart(out.Winner, d.now)
+	return out.Winner
 }
 
-// TestSchedulerMatchesSimulatorProtocol cross-checks every grant
-// protocol against its simulator counterpart on randomized arrival
-// traces: random interleavings of arrivals (random idle agent) and
-// resolutions, over several agent counts and seeds.
+// TestSchedulerMatchesSimulatorProtocol is the contract that lets arbd
+// claim the paper's fairness results: on random arrival traces a Bus
+// grants exactly what the same protocol grants under the simulators'
+// calling convention, repasses included.
 func TestSchedulerMatchesSimulatorProtocol(t *testing.T) {
 	const ops = 2000
-	for _, name := range Names() {
-		gf, err := ByName(name)
+	for _, name := range []string{"FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
+		f, err := core.ByName(name)
 		if err != nil {
 			t.Fatal(err)
-		}
-		cf, err := core.ByName(name)
-		if err != nil {
-			t.Fatalf("core counterpart for %s: %v", name, err)
 		}
 		for _, n := range []int{2, 3, 5, 8, 16} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(name, func(t *testing.T) {
 					src := rng.New(seed*1000 + uint64(n))
-					sched := gf(n)
-					driver := newCoreDriver(cf, n)
-					grants := 0
+					b := New(f(n))
+					d := &simDriver{proto: f(n), pending: make([]bool, n+1)}
+					grants, repasses := 0, int64(0)
 					for op := 0; op < ops; op++ {
-						// Bias toward arrivals so resolutions usually see
-						// contention; resolve anyway when everyone is
-						// already pending.
-						if (src.Float64() < 0.6 && sched.Pending() < n) || sched.Pending() == 0 {
+						// Bias toward arrivals so grants usually see
+						// contention; grant anyway once everyone waits.
+						waiting := b.Pending()
+						if (src.Float64() < 0.6 && waiting < n) || waiting == 0 {
 							id := 1 + src.Intn(n)
-							for driver.pending[id] {
+							for d.pending[id] {
 								id = 1 + src.Intn(n)
 							}
-							driver.enqueue(id)
-							if !sched.Enqueue(id) {
-								t.Fatalf("op %d: Enqueue(%d) dup against fresh arrival", op, id)
+							d.request(id)
+							if !b.Assert(id) {
+								t.Fatalf("op %d: Assert(%d) dup against fresh arrival", op, id)
 							}
 							continue
 						}
-						want := driver.resolve()
-						got := sched.Resolve()
-						if got != want {
-							t.Fatalf("op %d (grant %d): scheduler granted %d, simulator protocol granted %d",
+						got, r := b.Resolve()
+						if want := d.grant(); got != want {
+							t.Fatalf("op %d (grant %d): bus granted %d, simulator convention %d",
 								op, grants, got, want)
 						}
 						grants++
+						repasses += int64(r)
 					}
 					if grants < ops/4 {
 						t.Fatalf("trace exercised only %d grants", grants)
 					}
-					if r, ok := sched.(Repasser); ok && r.Repasses() != driver.repasses {
-						t.Errorf("repasses: scheduler %d, simulator %d", r.Repasses(), driver.repasses)
+					if repasses != d.repasses {
+						t.Errorf("repasses: bus %d, simulator convention %d", repasses, d.repasses)
 					}
 				})
 			}

@@ -1,492 +1,74 @@
-// Package grant re-hosts the paper's arbitration protocols (§3) as
-// real-time grant schedulers: the same bit-level arbitration the
-// simulators model in simulated time, driving grants of real shared
-// resources in wall-clock time (the arbd daemon's shard loops).
+// Package grant is the serving side of one bus: the request lines and
+// the clock an arbd resource arbitrates over, driving a core.Protocol
+// (a flat protocol or a topo.Tree) with the simulators' calling
+// convention. It holds no protocol logic — each protocol exists once,
+// in internal/core — only the bookkeeping of when to call it.
 //
-// A Scheduler is the request-line side of one bus: Enqueue(agent)
-// asserts agent's request line, Resolve() runs one parallel contention
-// arbitration among the asserted lines and grants the winner. Resolve
-// runs on the word-wide bitarb kernel — request lines are a bitmap
-// (one bit per agent identity) and one arbitration is a handful of
-// mask operations per 64 agents — which is what lifts the practical
-// agent ceiling from tens to thousands. The original wired-OR settle
-// resolution (internal/contention, composite arbitration numbers over
-// ident layouts) is kept as the oracle: every scheduler can be flipped
-// into oracle mode, and equivalence tests replay random histories
-// through both resolutions requiring bit-identical winner sequences
-// and repass counts. Property tests additionally pin each scheduler's
-// winner sequence against its internal/core simulator counterpart.
-//
-// Schedulers are single-goroutine, like core.Protocol: the owner (one
-// shard loop) serializes Enqueue and Resolve. Enqueue and Resolve are
-// allocation-free in steady state (guarded by tests and by
-// BenchmarkGrantResolve's ReportAllocs).
+// Assert raises an agent's request line and calls OnRequest; Resolve
+// calls Arbitrate over the lines, re-running it after each RR3 empty
+// pass, drops the winner's line and calls OnServiceStart. The clock
+// (the pulse) advances once per assert and once per grant: wall-clock
+// arrivals are never simultaneous, so no two requests share FCFS2's
+// a-incr sensing window. A Bus is single-goroutine like the protocol
+// it drives (the owner is one shard loop), and Assert and Resolve
+// allocate nothing.
 package grant
 
 import (
-	"fmt"
-	"sort"
-
 	"busarb/internal/bitarb"
-	"busarb/internal/contention"
-	"busarb/internal/ident"
+	"busarb/internal/core"
 )
 
-// Scheduler is a real-time grant scheduler for one shared resource
-// with agents 1..N.
-type Scheduler interface {
-	// Name returns the protocol's short name ("RR1", "FCFS2", ...).
-	Name() string
-	// N returns the number of agents the instance was built for.
-	N() int
-	// Enqueue asserts agent's request line. It reports whether the
-	// line was newly asserted; enqueueing an already-pending agent is
-	// a no-op returning false (one outstanding request per agent, the
-	// paper's model — callers queue excess requests behind the line).
-	// Enqueue panics on an agent outside 1..N.
-	Enqueue(agent int) bool
-	// Resolve runs one arbitration among the pending agents and
-	// returns the winner's identity, removing it from the pending set
-	// (the winner assumes resource mastership). It returns 0 when no
-	// agent is pending — the idle bus, where no arbitration starts.
-	Resolve() int
-	// Pending returns the number of asserted request lines.
-	Pending() int
-	// Reset restores initial state (pending lines and protocol
-	// registers cleared).
-	Reset()
+// Bus is one resource's request lines and clock.
+type Bus struct {
+	proto   core.Protocol
+	lines   bitarb.Vec
+	pending int
+	pulse   float64
 }
 
-// Factory builds a scheduler for an n-agent resource.
-type Factory func(n int) Scheduler
-
-// Repasser is implemented by schedulers whose resolutions can include
-// empty passes charged as extra arbitrations (RR3 §3.1). The counter
-// is cumulative across Resolve calls.
-type Repasser interface {
-	Repasses() int64
+// New returns an idle bus over p's agents 1..p.N().
+func New(p core.Protocol) *Bus {
+	b := &Bus{proto: p}
+	bitarb.InitVecs(p.N(), &b.lines)
+	return b
 }
 
-// base carries the state every scheduler shares: the pending request
-// lines as a kernel bitmap, and — in oracle mode only — the wired-OR
-// contention arbiter the settle-model resolution runs on.
-type base struct {
-	n      int
-	layout ident.Layout
-	req    *bitarb.Vec // asserted request lines, bit i = agent i
-	npend  int
-
-	// oracle switches Resolve from the kernel to the boolean wired-OR
-	// settle model. Set by equivalence tests (same package); the arb
-	// and comps scratch are built lazily so kernel-mode schedulers at
-	// thousands of agents never pay for the line bank.
-	oracle bool
-	arb    *contention.Arbitration
-	comps  []contention.Competitor
-}
-
-func newBase(n int, layout ident.Layout) base {
-	if n < 1 {
-		panic(fmt.Sprintf("grant: need at least 1 agent, got %d", n))
-	}
-	return base{
-		n:      n,
-		layout: layout,
-		req:    bitarb.NewVec(n),
-	}
-}
-
-func (b *base) N() int       { return b.n }
-func (b *base) Pending() int { return b.npend }
-
-// setOracle flips the resolution model; used by equivalence tests via
-// the oracler interface every scheduler satisfies through embedding.
-func (b *base) setOracle(on bool) { b.oracle = on }
-
-type oracler interface{ setOracle(on bool) }
-
-func (b *base) enqueue(agent int) bool {
-	if agent < 1 || agent > b.n {
-		panic(fmt.Sprintf("grant: agent %d out of range 1..%d", agent, b.n))
-	}
-	if b.req.Test(agent) {
+// Assert raises agent's request line and reports whether it was newly
+// raised. A line already up is left alone: one outstanding request per
+// agent, the paper's model — callers queue further requests behind the
+// line. Assert panics on an agent outside 1..N.
+func (b *Bus) Assert(agent int) bool {
+	if b.lines.Test(agent) {
 		return false
 	}
-	b.req.Set(agent)
-	b.npend++
+	b.lines.Set(agent)
+	b.pending++
+	b.pulse++
+	b.proto.OnRequest(agent, b.pulse)
 	return true
 }
 
-// grantWin removes a kernel-resolved winner from the pending set.
-func (b *base) grantWin(w int) {
-	b.req.Clear(w)
-	b.npend--
-}
-
-func (b *base) reset() {
-	b.req.Reset()
-	b.npend = 0
-}
-
-// resolveOracle runs one wired-OR settle arbitration among the pending
-// agents that satisfy eligible (nil means all), encoding each
-// competitor's arbitration number with encode. It returns 0 if no agent
-// competed; otherwise the winner is removed from the pending set. This
-// is the oracle the kernel resolutions are validated against.
-func (b *base) resolveOracle(eligible func(id int) bool, encode func(id int) uint64) int {
-	if b.arb == nil {
-		// Agent identities drive the bank directly, so it needs n+1
-		// driver slots (identity 0 is reserved, §2.1).
-		b.arb = contention.New(b.layout.TotalBits(), b.n+1)
-		b.comps = make([]contention.Competitor, 0, b.n) //arblint:alloc lazy oracle setup, first resolve only
+// Resolve runs one arbitration among the asserted lines, re-running it
+// after each RR3 empty pass, and grants the winner: its line drops as
+// it assumes mastership. It returns the winner and the number of empty
+// passes, which the caller reports; with no line asserted — the idle
+// bus, where no arbitration starts — it returns 0 and charges nothing.
+func (b *Bus) Resolve() (winner, repasses int) {
+	if b.pending == 0 {
+		return 0, 0
 	}
-	comps := b.comps[:0]
-	for id := 1; id <= b.n; id++ {
-		if b.req.Test(id) && (eligible == nil || eligible(id)) {
-			comps = append(comps, contention.Competitor{Agent: id, Number: encode(id)})
-		}
+	out := b.proto.Arbitrate(&b.lines)
+	for out.Repass {
+		repasses++
+		out = b.proto.Arbitrate(&b.lines)
 	}
-	b.comps = comps
-	if len(comps) == 0 {
-		return 0
-	}
-	res := b.arb.Run(comps)
-	w := comps[res.Winner].Agent
-	b.grantWin(w)
-	return w
+	b.lines.Clear(out.Winner)
+	b.pending--
+	b.pulse++
+	b.proto.OnServiceStart(out.Winner, b.pulse)
+	return out.Winner, repasses
 }
 
-// ---------------------------------------------------------------------
-// Fixed priority (§2.1): the raw parallel contention arbiter.
-
-// FP grants the highest pending static identity: maximally unfair
-// under load, the baseline the paper's protocols fix (Table 4.1).
-type FP struct{ base }
-
-// NewFP returns a fixed-priority scheduler for n agents.
-func NewFP(n int) *FP {
-	return &FP{base: newBase(n, ident.LayoutFor(n))}
-}
-
-// Name implements Scheduler.
-func (s *FP) Name() string { return "FP" }
-
-// Enqueue implements Scheduler.
-func (s *FP) Enqueue(agent int) bool { return s.enqueue(agent) }
-
-// Resolve implements Scheduler. Kernel path: the maximum static
-// identity is the highest set bit of the request bitmap.
-func (s *FP) Resolve() int {
-	if s.oracle {
-		return s.resolveOracle(nil, func(id int) uint64 { //arblint:alloc oracle mode; the kernel path is closure-free
-			return s.layout.Encode(ident.Number{Static: id})
-		})
-	}
-	w := s.req.Max()
-	if w < 0 {
-		return 0
-	}
-	s.grantWin(w)
-	return w
-}
-
-// Reset implements Scheduler.
-func (s *FP) Reset() { s.reset() }
-
-// ---------------------------------------------------------------------
-// RR1 (§3.1, first implementation): the round-robin priority bit.
-
-// RR1 adds one arbitration line carrying the round-robin bit: an agent
-// asserts it when its identity is below the recorded previous winner,
-// which realizes the scan j-1..1, N..j.
-type RR1 struct {
-	base
-	lastWinner int
-}
-
-// NewRR1 returns the round-robin-priority-bit scheduler for n agents.
-// The winner register starts at 0, so the first grant degenerates to
-// fixed priority, exactly like hardware out of reset.
-func NewRR1(n int) *RR1 {
-	return &RR1{base: newBase(n, ident.Layout{StaticBits: ident.Width(n), RRBit: true})}
-}
-
-// Name implements Scheduler.
-func (s *RR1) Name() string { return "RR1" }
-
-// LastWinner returns the recorded identity of the most recent winner.
-func (s *RR1) LastWinner() int { return s.lastWinner }
-
-// Enqueue implements Scheduler.
-func (s *RR1) Enqueue(agent int) bool { return s.enqueue(agent) }
-
-// Resolve implements Scheduler. Kernel path: the RR bit is the MSB of
-// the composite number, so agents below the previous winner outrank
-// everyone else — the thermometer split MaxBelow(lastWinner), falling
-// back to the plain maximum when that segment is empty.
-func (s *RR1) Resolve() int {
-	if s.oracle {
-		w := s.resolveOracle(nil, func(id int) uint64 { //arblint:alloc oracle mode; the kernel path is closure-free
-			return s.layout.Encode(ident.Number{Static: id, RR: id < s.lastWinner})
-		})
-		if w != 0 {
-			s.lastWinner = w
-		}
-		return w
-	}
-	w := s.req.MaxBelow(s.lastWinner)
-	if w < 0 {
-		w = s.req.Max()
-	}
-	if w < 0 {
-		return 0
-	}
-	s.grantWin(w)
-	s.lastWinner = w
-	return w
-}
-
-// Reset implements Scheduler.
-func (s *RR1) Reset() { s.reset(); s.lastWinner = 0 }
-
-// ---------------------------------------------------------------------
-// RR3 (§3.1, third implementation): no extra line, occasional repass.
-
-// RR3 inhibits agents at or above the previous winner; an empty pass
-// (winning identity zero) makes every agent record N+1 and re-arbitrate
-// immediately. Resolve folds the repass in — the caller sees one grant
-// — and counts it, so the arbd loop can surface the extra arbitration
-// the paper charges for.
-type RR3 struct {
-	base
-	lastWinner int
-	repasses   int64
-}
-
-// NewRR3 returns the no-extra-line scheduler for n agents. The winner
-// register starts at 0, so the very first resolution is an empty pass.
-func NewRR3(n int) *RR3 {
-	return &RR3{base: newBase(n, ident.LayoutFor(n))}
-}
-
-// Name implements Scheduler.
-func (s *RR3) Name() string { return "RR3" }
-
-// LastWinner returns the recorded winner identity (N+1 right after an
-// empty pass).
-func (s *RR3) LastWinner() int { return s.lastWinner }
-
-// Repasses implements Repasser.
-func (s *RR3) Repasses() int64 { return s.repasses }
-
-// Enqueue implements Scheduler.
-func (s *RR3) Enqueue(agent int) bool { return s.enqueue(agent) }
-
-// Resolve implements Scheduler. Kernel path: the inhibited arbitration
-// is MaxBelow(lastWinner); an empty segment is the empty pass, after
-// which lastWinner = N+1 uninhibits everyone and the repass is the
-// plain maximum.
-func (s *RR3) Resolve() int {
-	if s.npend == 0 {
-		return 0
-	}
-	if s.oracle {
-		encode := func(id int) uint64 { //arblint:alloc oracle mode; the kernel path is closure-free
-			return s.layout.Encode(ident.Number{Static: id})
-		}
-		w := s.resolveOracle(func(id int) bool { return id < s.lastWinner }, encode) //arblint:alloc oracle mode; the kernel path is closure-free
-		if w == 0 {
-			// Empty pass: every agent records N+1, a fresh uninhibited
-			// arbitration follows at once (§3.1).
-			s.lastWinner = s.n + 1
-			s.repasses++
-			w = s.resolveOracle(func(id int) bool { return id < s.lastWinner }, encode) //arblint:alloc oracle mode; the kernel path is closure-free
-		}
-		s.lastWinner = w
-		return w
-	}
-	w := s.req.MaxBelow(s.lastWinner)
-	if w < 0 {
-		s.lastWinner = s.n + 1
-		s.repasses++
-		w = s.req.Max()
-	}
-	s.grantWin(w)
-	s.lastWinner = w
-	return w
-}
-
-// Reset implements Scheduler.
-func (s *RR3) Reset() { s.reset(); s.lastWinner = 0; s.repasses = 0 }
-
-// ---------------------------------------------------------------------
-// FCFS1 (§3.2): waiting-time counter incremented on each lost
-// arbitration.
-
-// FCFS1 prepends a per-agent counter, incremented each time the agent
-// loses an arbitration and cleared on enqueue and on a win, to the
-// static identity. With one outstanding request per agent the counter
-// never exceeds N-1, so ceil(log2 N) bits suffice (§3.2). The counters
-// live as kernel bit-planes: the lose increment is one word-parallel
-// saturating add over the request bitmap, O(counter bits) per 64
-// agents.
-type FCFS1 struct {
-	base
-	ctr *bitarb.Counters
-}
-
-// NewFCFS1 returns the lose-counting FCFS scheduler for n agents.
-func NewFCFS1(n int) *FCFS1 {
-	w := ident.Width(n)
-	return &FCFS1{
-		base: newBase(n, ident.Layout{StaticBits: w, CounterBits: w}),
-		ctr:  bitarb.NewCounters(w, n),
-	}
-}
-
-// Name implements Scheduler.
-func (s *FCFS1) Name() string { return "FCFS1" }
-
-// Counter returns agent id's waiting-time counter (for tests).
-func (s *FCFS1) Counter(id int) int { return s.ctr.Get(id) }
-
-// Enqueue implements Scheduler: a new request starts with counter 0.
-func (s *FCFS1) Enqueue(agent int) bool {
-	if !s.enqueue(agent) {
-		return false
-	}
-	s.ctr.Zero(agent)
-	return true
-}
-
-// Resolve implements Scheduler. Kernel path: the composite number is
-// (counter, static identity) lexicographically, which is exactly the
-// counter-plane tournament MaxIn (ties toward higher identity).
-func (s *FCFS1) Resolve() int {
-	var w int
-	if s.oracle {
-		w = s.resolveOracle(nil, func(id int) uint64 { //arblint:alloc oracle mode; the kernel path is closure-free
-			return s.layout.Encode(ident.Number{Static: id, Counter: s.ctr.Get(id)})
-		})
-		if w == 0 {
-			return 0
-		}
-	} else {
-		w = s.ctr.MaxIn(s.req)
-		if w < 0 {
-			return 0
-		}
-		s.grantWin(w)
-	}
-	// "Lose" increments (saturating); the winner's counter is cleared.
-	// The winner is already out of the request bitmap here.
-	s.ctr.Zero(w)
-	s.ctr.Inc(s.req)
-	return w
-}
-
-// Reset implements Scheduler.
-func (s *FCFS1) Reset() {
-	s.reset()
-	s.ctr.Reset()
-}
-
-// ---------------------------------------------------------------------
-// FCFS2 (§3.2): the a-incr pulse on each arrival.
-
-// FCFS2 counts arrivals instead of losses: each Enqueue pulses the
-// shared a-incr line and every already-waiting agent increments its
-// counter, so the counter ranks requests by arrival order exactly. In
-// wall-clock serving each Enqueue is its own pulse — two requests
-// share a counter value only if the daemon observed them in the same
-// already-resolved state, the network analogue of §3.2's propagation
-// window.
-type FCFS2 struct {
-	base
-	ctr *bitarb.Counters
-}
-
-// NewFCFS2 returns the a-incr FCFS scheduler for n agents. The counter
-// needs only ceil(log2 N) bits: with one outstanding request per
-// agent, at most N-1 pulses can precede this agent's grant.
-func NewFCFS2(n int) *FCFS2 {
-	w := ident.Width(n)
-	return &FCFS2{
-		base: newBase(n, ident.Layout{StaticBits: w, CounterBits: w}),
-		ctr:  bitarb.NewCounters(w, n),
-	}
-}
-
-// Name implements Scheduler.
-func (s *FCFS2) Name() string { return "FCFS2" }
-
-// Counter returns agent id's waiting-time counter (for tests).
-func (s *FCFS2) Counter(id int) int { return s.ctr.Get(id) }
-
-// Enqueue implements Scheduler: the newcomer pulses a-incr, a single
-// word-parallel saturating increment over the waiting bitmap.
-func (s *FCFS2) Enqueue(agent int) bool {
-	if agent < 1 || agent > s.n {
-		panic(fmt.Sprintf("grant: agent %d out of range 1..%d", agent, s.n))
-	}
-	if s.req.Test(agent) {
-		return false
-	}
-	s.ctr.Inc(s.req)
-	s.ctr.Zero(agent)
-	s.req.Set(agent)
-	s.npend++
-	return true
-}
-
-// Resolve implements Scheduler. Kernel path: same (counter, identity)
-// tournament as FCFS1; the counters only move on arrivals.
-func (s *FCFS2) Resolve() int {
-	if s.oracle {
-		return s.resolveOracle(nil, func(id int) uint64 { //arblint:alloc oracle mode; the kernel path is closure-free
-			return s.layout.Encode(ident.Number{Static: id, Counter: s.ctr.Get(id)})
-		})
-	}
-	w := s.ctr.MaxIn(s.req)
-	if w < 0 {
-		return 0
-	}
-	s.grantWin(w)
-	return w
-}
-
-// Reset implements Scheduler.
-func (s *FCFS2) Reset() {
-	s.reset()
-	s.ctr.Reset()
-}
-
-// ---------------------------------------------------------------------
-// Registry.
-
-var factories = map[string]Factory{
-	"FP":    func(n int) Scheduler { return NewFP(n) },
-	"RR1":   func(n int) Scheduler { return NewRR1(n) },
-	"RR3":   func(n int) Scheduler { return NewRR3(n) },
-	"FCFS1": func(n int) Scheduler { return NewFCFS1(n) },
-	"FCFS2": func(n int) Scheduler { return NewFCFS2(n) },
-}
-
-// ByName returns the factory for a protocol name, or an error naming
-// the valid choices.
-func ByName(name string) (Factory, error) {
-	if f, ok := factories[name]; ok {
-		return f, nil
-	}
-	return nil, fmt.Errorf("grant: unknown protocol %q (have %v)", name, Names())
-}
-
-// Names returns the registered protocol names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(factories))
-	for name := range factories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Pending returns the number of asserted request lines.
+func (b *Bus) Pending() int { return b.pending }

@@ -1,49 +1,62 @@
 package grant
 
 import (
+	"fmt"
 	"testing"
+
+	"busarb/internal/core"
+	"busarb/internal/topo"
 )
 
-// TestRR1RotationAtSaturation pins the round-robin scan: with every
-// agent pending and each winner re-enqueued after its grant, RR1 must
-// cycle N, N-1, ..., 1, N, ... — the §3.1 scan order.
-func TestRR1RotationAtSaturation(t *testing.T) {
-	const n = 5
-	s := NewRR1(n)
-	for id := 1; id <= n; id++ {
-		s.Enqueue(id)
+// newBus builds an idle bus driving the named protocol over n agents.
+func newBus(tb testing.TB, protocol string, n int) *Bus {
+	tb.Helper()
+	f, err := core.ByName(protocol)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	want := []int{5, 4, 3, 2, 1, 5, 4, 3, 2, 1}
-	for i, w := range want {
-		got := s.Resolve()
-		if got != w {
-			t.Fatalf("grant %d = agent %d, want %d", i, got, w)
-		}
-		s.Enqueue(got) // closed loop: the winner requests again
+	return New(f(n))
+}
+
+// saturate asserts every line of b.
+func saturate(b *Bus) {
+	for id := 1; id <= b.proto.N(); id++ {
+		b.Assert(id)
 	}
 }
 
-// TestRR3MatchesRR1WithRepasses pins that RR3 produces RR1's grant
-// sequence at saturation while charging empty passes: the first
-// resolution (winner register 0) and every wrap of the scan cost one.
-func TestRR3MatchesRR1WithRepasses(t *testing.T) {
-	const n = 4
-	s := NewRR3(n)
-	for id := 1; id <= n; id++ {
-		s.Enqueue(id)
-	}
-	want := []int{4, 3, 2, 1, 4, 3, 2, 1}
+// grantSequence resolves len(want) grants on a saturated bus, each
+// winner re-asserting at once (a closed loop), checks the order, and
+// returns the empty passes charged along the way.
+func grantSequence(t *testing.T, b *Bus, want []int) (repasses int) {
+	t.Helper()
+	saturate(b)
 	for i, w := range want {
-		got := s.Resolve()
+		got, r := b.Resolve()
 		if got != w {
 			t.Fatalf("grant %d = agent %d, want %d", i, got, w)
 		}
-		s.Enqueue(got)
+		repasses += r
+		b.Assert(got)
 	}
-	// Empty passes: one at reset (winner register 0) and one per wrap
-	// after agent 1 wins (nobody is below 1). The second wrap would be
-	// charged by the ninth resolution, which never runs.
-	if got := s.Repasses(); got != 2 {
+	return repasses
+}
+
+// TestRR1RotationAtSaturation pins the round-robin scan: with every
+// agent waiting and each winner re-requesting after its grant, RR1
+// cycles N, N-1, ..., 1, N, ... — the §3.1 scan order.
+func TestRR1RotationAtSaturation(t *testing.T) {
+	grantSequence(t, newBus(t, "RR1", 5), []int{5, 4, 3, 2, 1, 5, 4, 3, 2, 1})
+}
+
+// TestRR3MatchesRR1WithRepasses pins that RR3 grants RR1's sequence at
+// saturation while charging empty passes: one at reset (winner
+// register 0) and one per wrap of the scan after agent 1 wins.
+func TestRR3MatchesRR1WithRepasses(t *testing.T) {
+	got := grantSequence(t, newBus(t, "RR3", 4), []int{4, 3, 2, 1, 4, 3, 2, 1})
+	// The second wrap would be charged by the ninth resolution, which
+	// never runs.
+	if got != 2 {
 		t.Errorf("repasses = %d, want 2 (reset + one wrap)", got)
 	}
 }
@@ -51,160 +64,126 @@ func TestRR3MatchesRR1WithRepasses(t *testing.T) {
 // TestFPStarvesLowIdentities pins the baseline's unfairness: with all
 // agents saturated, FP grants only the highest identity.
 func TestFPStarvesLowIdentities(t *testing.T) {
-	const n = 6
-	s := NewFP(n)
-	for id := 1; id <= n; id++ {
-		s.Enqueue(id)
+	want := make([]int, 20)
+	for i := range want {
+		want[i] = 6
 	}
-	for i := 0; i < 20; i++ {
-		if w := s.Resolve(); w != n {
-			t.Fatalf("grant %d went to agent %d, want %d", i, w, n)
-		}
-		s.Enqueue(n)
-	}
+	grantSequence(t, newBus(t, "FP", 6), want)
 }
 
 // TestFCFS2ArrivalOrder pins exact arrival-order service, including an
 // arrival order adversarial to static priority.
 func TestFCFS2ArrivalOrder(t *testing.T) {
-	s := NewFCFS2(8)
+	b := newBus(t, "FCFS2", 8)
 	order := []int{3, 6, 1, 5, 8, 2}
 	for _, id := range order {
-		s.Enqueue(id)
+		b.Assert(id)
 	}
 	for i, want := range order {
-		if got := s.Resolve(); got != want {
+		if got, _ := b.Resolve(); got != want {
 			t.Fatalf("grant %d = agent %d, want %d (arrival order)", i, got, want)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after draining, want 0", s.Pending())
+	if b.Pending() != 0 || b.lines.Any() {
+		t.Errorf("lines still asserted after draining: %v", b.lines.AppendIDs(nil))
 	}
 }
 
 // TestFCFS1SeniorityAccumulates pins the lose-counting rule: a loser's
 // counter grows until it dominates fresher requests.
 func TestFCFS1SeniorityAccumulates(t *testing.T) {
-	s := NewFCFS1(4)
-	s.Enqueue(1)
-	s.Enqueue(4)
-	if w := s.Resolve(); w != 4 {
+	b := newBus(t, "FCFS1", 4)
+	b.Assert(1)
+	b.Assert(4)
+	if w, _ := b.Resolve(); w != 4 {
 		t.Fatalf("first grant = %d, want 4 (tie on counter 0 broken by identity)", w)
 	}
 	// Agent 1 lost once (counter 1); a fresh request from 4 (counter 0)
 	// must now lose to it.
-	s.Enqueue(4)
-	if w := s.Resolve(); w != 1 {
+	b.Assert(4)
+	if w, _ := b.Resolve(); w != 1 {
 		t.Fatalf("second grant = %d, want 1 (seniority)", w)
 	}
 }
 
 // TestResolveEmptyReturnsZero pins the idle-bus contract for every
-// protocol, including RR3 (no empty pass is charged when no agent is
-// pending — arbitration only starts on a request).
+// protocol, RR3 included: with no line asserted no arbitration starts,
+// so Resolve grants nobody and charges no empty pass — before the
+// first request and after the last grant alike.
 func TestResolveEmptyReturnsZero(t *testing.T) {
-	for _, name := range Names() {
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range core.Names() {
+		b := newBus(t, name, 4)
+		if w, r := b.Resolve(); w != 0 || r != 0 {
+			t.Errorf("%s: Resolve on a fresh bus = (%d, %d repasses), want (0, 0)", name, w, r)
 		}
-		s := f(4)
-		if w := s.Resolve(); w != 0 {
-			t.Errorf("%s: Resolve on empty = %d, want 0", name, w)
-		}
-		if r, ok := s.(Repasser); ok && r.Repasses() != 0 {
-			t.Errorf("%s: empty Resolve charged %d repasses, want 0", name, r.Repasses())
+		b.Assert(3)
+		b.Resolve()
+		if w, r := b.Resolve(); w != 0 || r != 0 {
+			t.Errorf("%s: Resolve after draining = (%d, %d repasses), want (0, 0)", name, w, r)
 		}
 	}
 }
 
-// TestEnqueueSemantics pins idempotence, Pending accounting, Reset,
-// and the out-of-range panic, for every protocol.
+// TestEnqueueSemantics pins Assert, the way a request enqueues, for
+// every protocol: a line is raised once, a duplicate assert is a
+// no-op, the grant drops the line, and an identity outside 1..N
+// panics.
 func TestEnqueueSemantics(t *testing.T) {
-	for _, name := range Names() {
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range core.Names() {
+		b := newBus(t, name, 4)
+		if !b.Assert(2) {
+			t.Errorf("%s: first Assert(2) = false, want true", name)
 		}
-		s := f(4)
-		if !s.Enqueue(2) {
-			t.Errorf("%s: first Enqueue(2) = false, want true", name)
+		if b.Assert(2) {
+			t.Errorf("%s: duplicate Assert(2) = true, want false", name)
 		}
-		if s.Enqueue(2) {
-			t.Errorf("%s: duplicate Enqueue(2) = true, want false", name)
+		if n := b.Pending(); n != 1 || b.lines.Count() != 1 {
+			t.Errorf("%s: Pending = %d with %d lines asserted, want 1", name, n, b.lines.Count())
 		}
-		if s.Pending() != 1 {
-			t.Errorf("%s: Pending = %d, want 1", name, s.Pending())
-		}
-		if w := s.Resolve(); w != 2 {
+		if w, _ := b.Resolve(); w != 2 {
 			t.Errorf("%s: Resolve = %d, want 2", name, w)
 		}
-		if s.Pending() != 0 {
-			t.Errorf("%s: Pending after grant = %d, want 0", name, s.Pending())
-		}
-		s.Enqueue(3)
-		s.Reset()
-		if s.Pending() != 0 {
-			t.Errorf("%s: Pending after Reset = %d, want 0", name, s.Pending())
+		if b.Pending() != 0 || b.lines.Any() {
+			t.Errorf("%s: line still asserted after its grant", name)
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Enqueue(5) on n=4 did not panic", name)
+					t.Errorf("%s: Assert(5) on n=4 did not panic", name)
 				}
 			}()
-			s.Enqueue(5)
+			b.Assert(5)
 		}()
-		if s.N() != 4 || s.Name() != name {
-			t.Errorf("%s: N/Name mismatch: %d %q", name, s.N(), s.Name())
-		}
 	}
 }
 
-// TestByNameUnknown pins the error path and the registry listing.
-func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("BOGUS"); err == nil {
-		t.Error("ByName(BOGUS) succeeded")
-	}
-	want := []string{"FCFS1", "FCFS2", "FP", "RR1", "RR3"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestSteadyStateAllocs guards the hot path: once the scheduler's
-// buffers (and the contention arbiter's) have grown, a saturated
-// enqueue/resolve cycle allocates nothing, for every protocol. The
-// arbd shard loop leans on this — a per-grant allocation would be paid
-// millions of times a day.
+// TestSteadyStateAllocs guards the serving hot path: once a protocol's
+// scratch has grown, a saturated assert/resolve cycle allocates
+// nothing, for every registered protocol, flat or tree. The arbd shard
+// loop leans on this — a per-grant allocation would be paid millions
+// of times a day.
 func TestSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{8, 1024} { // small and kernel-scale
-		for _, name := range Names() {
-			f, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := f(n)
-			cycle := func() {
-				for id := 1; id <= n; id++ {
-					s.Enqueue(id)
-				}
-				for s.Pending() > 0 {
-					if s.Resolve() == 0 {
-						t.Fatalf("%s: Resolve returned 0 with %d pending", name, s.Pending())
-					}
-				}
-			}
-			cycle() // warm the scratch buffers
-			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-				t.Errorf("%s/n=%d: steady-state enqueue/resolve cycle allocates %v times, want 0", name, n, allocs)
+	check := func(label string, b *Bus) {
+		cycle := func() {
+			saturate(b)
+			for b.Pending() > 0 {
+				b.Resolve()
 			}
 		}
+		cycle() // warm up
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+			t.Errorf("%s: steady-state assert/resolve cycle allocates %v times, want 0", label, allocs)
+		}
 	}
+	for _, n := range []int{8, 1024} { // small and kernel-scale
+		for _, name := range core.Names() {
+			check(fmt.Sprintf("%s/n=%d", name, n), newBus(t, name, n))
+		}
+	}
+	tree, err := topo.NewTree(&topo.Spec{Protocol: "RR1", Children: []topo.Spec{
+		{Protocol: "RR3", Agents: 512}, {Protocol: "FCFS2", Agents: 512}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(tree.Name(), New(tree))
 }

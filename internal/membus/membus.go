@@ -22,6 +22,7 @@ package membus
 import (
 	"fmt"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/dist"
 	"busarb/internal/obs"
@@ -153,10 +154,14 @@ type machine struct {
 	proto core.Protocol
 	memID int
 
-	// Per-processor state.
-	waiting []bool // outstanding request not yet granted the bus
-	genTime []float64
-	srcs    []*rng.Source
+	// Per-agent state. lines holds the request lines (an outstanding
+	// request not yet granted the bus); snap is the copy the
+	// arbitration in flight resolves over (one at a time: arbitrating
+	// guards); resolveFn is the prebound resolution event.
+	lines, snap bitarb.Vec
+	resolveFn   func()
+	genTime     []float64
+	srcs        []*rng.Source
 
 	// Memory controller state (split mode).
 	respQueue []pendingResp
@@ -219,7 +224,6 @@ func Run(cfg Config) *Result {
 		cfg:        cfg,
 		proto:      cfg.Protocol(nAgents),
 		memID:      cfg.N + 1,
-		waiting:    make([]bool, cfg.N+2),
 		genTime:    make([]float64, cfg.N+2),
 		srcs:       make([]*rng.Source, cfg.N+2),
 		bankFreeAt: make([]float64, cfg.Banks),
@@ -228,6 +232,8 @@ func Run(cfg Config) *Result {
 		warmupLeft: int64(cfg.BatchSize),
 		res:        &Result{Mode: cfg.Mode, N: cfg.N},
 	}
+	bitarb.InitVecs(nAgents, &m.lines, &m.snap)
+	m.resolveFn = m.resolve
 	m.res.Protocol = m.proto.Name()
 	master := rng.New(cfg.Seed)
 	for id := 1; id <= cfg.N; id++ {
@@ -256,7 +262,7 @@ func (m *machine) scheduleThink(id int) {
 }
 
 func (m *machine) generate(id int) {
-	m.waiting[id] = true
+	m.lines.Set(id)
 	m.genTime[id] = m.sched.Now()
 	m.proto.OnRequest(id, m.sched.Now())
 	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.RequestIssued, Agent: id})
@@ -267,46 +273,26 @@ func (m *machine) maybeArbitrate() {
 	if m.arbitrating || m.pendingWin != 0 {
 		return
 	}
-	if !m.anyWaiting() {
+	if !m.lines.Any() {
 		return
 	}
 	m.arbitrating = true
-	snapshot := m.waitingIDs()
+	m.snap.CopyFrom(&m.lines)
 	if m.cfg.Observer != nil {
-		// Copy: resolve still reads snapshot after the probe sees it.
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ArbitrationStart,
-			Agents: append([]int(nil), snapshot...)})
+			Agents: m.snap.AppendIDs(make([]int, 0, m.snap.Count()))})
 	}
 	// Arbitration overhead: half an address cycle, overlapped with any
 	// current tenure (the §4.1 structure scaled to this bus).
-	m.sched.After(m.cfg.AddrTime/2, func() { m.resolve(snapshot) })
+	m.sched.After(m.cfg.AddrTime/2, m.resolveFn)
 }
 
-func (m *machine) anyWaiting() bool {
-	for id := 1; id < len(m.waiting); id++ {
-		if m.waiting[id] {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *machine) waitingIDs() []int {
-	var ids []int
-	for id := 1; id < len(m.waiting); id++ {
-		if m.waiting[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-func (m *machine) resolve(snapshot []int) {
-	out := m.proto.Arbitrate(snapshot)
+func (m *machine) resolve() {
+	out := m.proto.Arbitrate(&m.snap)
 	if out.Repass {
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.Repass})
-		fresh := m.waitingIDs()
-		m.sched.After(m.cfg.AddrTime/2, func() { m.resolve(fresh) })
+		m.snap.CopyFrom(&m.lines)
+		m.sched.After(m.cfg.AddrTime/2, m.resolveFn)
 		return
 	}
 	m.arbitrating = false
@@ -320,7 +306,7 @@ func (m *machine) resolve(snapshot []int) {
 
 func (m *machine) grant(id int) {
 	m.pendingWin = 0
-	m.waiting[id] = false
+	m.lines.Clear(id)
 	m.busBusy = true
 	m.proto.OnServiceStart(id, m.sched.Now())
 	if id == m.memID {
@@ -386,8 +372,8 @@ func (m *machine) startRequest(id int) {
 // controller asserts the bus request line if it wasn't already.
 func (m *machine) responseReady() {
 	m.respReady++
-	if !m.waiting[m.memID] {
-		m.waiting[m.memID] = true
+	if !m.lines.Test(m.memID) {
+		m.lines.Set(m.memID)
 		m.proto.OnRequest(m.memID, m.sched.Now())
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.RequestIssued, Agent: m.memID})
 		m.maybeArbitrate()
@@ -425,7 +411,7 @@ func (m *machine) startResponse() {
 		m.scheduleThink(resp.proc)
 		// More ready responses: re-assert immediately.
 		if m.respReady > 0 {
-			m.waiting[m.memID] = true
+			m.lines.Set(m.memID)
 			m.proto.OnRequest(m.memID, m.sched.Now())
 			m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.RequestIssued, Agent: m.memID})
 		}

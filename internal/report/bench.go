@@ -32,10 +32,15 @@ type BenchResult struct {
 // BenchSuite is a full `go test -bench` run: the environment header plus
 // every benchmark line, in output order.
 type BenchSuite struct {
-	Date       string        `json:"date"` // YYYY-MM-DD, set by the caller
-	Goos       string        `json:"goos,omitempty"`
-	Goarch     string        `json:"goarch,omitempty"`
-	CPU        string        `json:"cpu,omitempty"`
+	Date   string `json:"date"` // YYYY-MM-DD, set by the caller
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the run's processor count, read from the first
+	// benchmark's -N name suffix (go test omits the suffix at 1).
+	// allocs/op can depend on it: a worker pool sized at package init
+	// allocates per worker.
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
@@ -70,6 +75,9 @@ func ParseBench(r io.Reader) (*BenchSuite, error) {
 				return nil, err
 			}
 			b.Pkg = pkg
+			if s.GOMAXPROCS == 0 {
+				s.GOMAXPROCS = max(b.Procs, 1)
+			}
 			s.Benchmarks = append(s.Benchmarks, b)
 		}
 	}

@@ -28,6 +28,9 @@ func TestParseBench(t *testing.T) {
 	if s.Goos != "linux" || s.Goarch != "amd64" || s.CPU != "Test CPU @ 2.00GHz" {
 		t.Errorf("bad header: %+v", s)
 	}
+	if s.GOMAXPROCS != 1 {
+		t.Errorf("GOMAXPROCS = %d, want 1 (the first benchmark has no -N suffix)", s.GOMAXPROCS)
+	}
 	if len(s.Benchmarks) != 3 {
 		t.Fatalf("got %d benchmarks, want 3", len(s.Benchmarks))
 	}
@@ -47,6 +50,16 @@ func TestParseBench(t *testing.T) {
 	}
 	if b := s.Benchmarks[2]; b.Pkg != "busarb/internal/other" || b.NsPerOp != 12345 {
 		t.Errorf("pkg header not tracked: %+v", b)
+	}
+}
+
+func TestParseBenchGOMAXPROCS(t *testing.T) {
+	s, err := ParseBench(strings.NewReader("BenchmarkA-2 \t 10 \t 100 ns/op\nBenchmarkB-2 \t 10 \t 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.GOMAXPROCS != 2 {
+		t.Errorf("GOMAXPROCS = %d, want 2 from the -2 suffix", s.GOMAXPROCS)
 	}
 }
 

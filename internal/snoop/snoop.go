@@ -16,6 +16,7 @@ package snoop
 import (
 	"fmt"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 	"busarb/internal/mp"
 	"busarb/internal/obs"
@@ -271,6 +272,11 @@ type machine struct {
 	busBusy      bool
 	arbitrating  bool
 	pendingWin   int
+	// snap is the request-line snapshot of the arbitration in flight
+	// (one at a time: arbitrating guards), reused across arbitrations;
+	// resolveFn is the prebound resolution event.
+	snap      *bitarb.Vec
+	resolveFn func()
 
 	versions map[uint64]uint64 // per-block global write version
 	res      *Result
@@ -328,6 +334,7 @@ func Run(cfg Config) *Result {
 		cfg:      cfg,
 		proto:    cfg.Protocol(n),
 		procs:    make([]*Proc, n+1),
+		snap:     bitarb.NewVec(n),
 		versions: make(map[uint64]uint64),
 		res: &Result{
 			N:        n,
@@ -335,6 +342,7 @@ func Run(cfg Config) *Result {
 			Progress: make([]float64, n),
 		},
 	}
+	m.resolveFn = m.resolve
 	m.res.Protocol = m.proto.Name()
 	master := rng.New(cfg.Seed)
 	for i, p := range cfg.Procs {
@@ -442,14 +450,15 @@ func (m *machine) request(p *Proc) {
 	}
 }
 
-func (m *machine) waitingIDs() []int {
-	ids := make([]int, 0, m.waitingCount)
+// snapshot latches every processor with a transaction chain in
+// progress (its request line stays high through the chain) into snap.
+func (m *machine) snapshot() {
+	m.snap.Reset()
 	for id := 1; id < len(m.procs); id++ {
 		if len(m.procs[id].pendingTx) > 0 {
-			ids = append(ids, id)
+			m.snap.Set(id)
 		}
 	}
-	return ids
 }
 
 func (m *machine) beginArbitration() {
@@ -457,21 +466,20 @@ func (m *machine) beginArbitration() {
 		return
 	}
 	m.arbitrating = true
-	snapshot := m.waitingIDs()
+	m.snapshot()
 	if m.cfg.Observer != nil {
-		// Copy: resolve still reads snapshot after the probe sees it.
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ArbitrationStart,
-			Agents: append([]int(nil), snapshot...)})
+			Agents: m.snap.AppendIDs(make([]int, 0, m.snap.Count()))})
 	}
-	m.sched.After(m.cfg.ArbOverhead, func() { m.resolve(snapshot) })
+	m.sched.After(m.cfg.ArbOverhead, m.resolveFn)
 }
 
-func (m *machine) resolve(snapshot []int) {
-	out := m.proto.Arbitrate(snapshot)
+func (m *machine) resolve() {
+	out := m.proto.Arbitrate(m.snap)
 	if out.Repass {
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.Repass})
-		fresh := m.waitingIDs()
-		m.sched.After(m.cfg.ArbOverhead, func() { m.resolve(fresh) })
+		m.snapshot()
+		m.sched.After(m.cfg.ArbOverhead, m.resolveFn)
 		return
 	}
 	m.arbitrating = false

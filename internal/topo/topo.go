@@ -18,15 +18,15 @@
 // full extra arbitration delay, the §3.1 accounting generalized.
 //
 // Agents carry global identities 1..TotalAgents, assigned depth-first
-// so every subtree owns one contiguous range — which is what lets the
-// simulator's sorted waiting-set snapshot be bucketed into clusters
-// by boundary lookups, allocation-free, on top of the bit-parallel
-// kernel paths of the per-node protocols.
+// so every subtree owns one contiguous range — which is what lets a
+// cluster read its request lines straight off the caller's bitmap,
+// allocation-free, on top of the bit-parallel kernel paths of the
+// per-node protocols.
 //
-// The tree has two faces: SimTree implements core.Protocol (the
-// simulators' face; a single-node tree is bit-identical to the flat
-// bus) and GrantTree implements grant.Scheduler (the serving face
-// behind arbd resource specs like "8x4:RR1/FCFS2").
+// The tree has one face: Tree implements core.Protocol, so the
+// simulators run it as a bus (a single-node tree is bit-identical to
+// the flat bus) and arbd serves it behind resource specs like
+// "8x4:RR1/FCFS2".
 package topo
 
 import (
@@ -52,9 +52,8 @@ const MaxDepth = 8
 //
 // A flat bus is the degenerate single-leaf Spec {Protocol, Agents}.
 type Spec struct {
-	// Protocol names this node's arbiter ("RR1", "FCFS2", ...). The
-	// valid set depends on the face: NewSimTree accepts any core
-	// protocol, NewGrantTree any grant scheduler.
+	// Protocol names this node's arbiter: any core protocol ("RR1",
+	// "FCFS2", ...).
 	Protocol string `json:"protocol"`
 	// Agents is the number of agents on a leaf cluster's bus.
 	Agents int `json:"agents,omitempty"`

@@ -2,8 +2,8 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 )
 
@@ -20,8 +20,8 @@ type Hop struct {
 	LineUp float64
 }
 
-// simNode is one tree node on the simulator face.
-type simNode struct {
+// treeNode is one arbitration node of a Tree.
+type treeNode struct {
 	proto    core.Protocol
 	parent   int // node index, -1 at the root
 	childIdx int // 1-based identity on the parent's bus
@@ -29,6 +29,12 @@ type simNode struct {
 	first    int // global agent range [first, last], DFS-contiguous
 	last     int
 	children []int // node indices, empty at leaves
+	// lines holds the node's request lines (one per child, or one per
+	// agent at a leaf) for the arbitration in progress. Nodes with the
+	// same line count share one bitmap: a descent arbitrates one node at
+	// a time. It is nil for a single-leaf tree, whose leaf arbitrates
+	// the caller's bitmap directly.
+	lines *bitarb.Vec
 	// pending counts waiting agents in the subtree; the node's request
 	// line to its parent is asserted iff pending > 0.
 	pending int
@@ -36,31 +42,29 @@ type simNode struct {
 	lineUp float64
 }
 
-// SimTree is an arbitration tree on the simulators' face: it
-// implements core.Protocol over the global agent identities, so
-// bussim runs a tree exactly as it runs a flat protocol. A
-// single-leaf tree delegates every call to its one protocol instance
-// and is bit-identical to the flat bus (the refactor's safety net,
-// pinned by bussim's equivalence test).
+// Tree is an arbitration tree. It implements core.Protocol over the
+// global agent identities, so bussim runs a tree exactly as it runs a
+// flat protocol, and an arbd shard serves one exactly as it serves a
+// flat resource. A single-leaf tree delegates every call to its one
+// protocol instance and is bit-identical to the flat bus (the
+// refactor's safety net, pinned by bussim's equivalence test).
 //
-// Steady-state operation is allocation-free: the descent buckets the
-// sorted waiting snapshot into clusters with boundary lookups over
-// the DFS-contiguous identity ranges, and all per-call scratch is
-// owned by the tree.
-type SimTree struct {
+// Steady-state operation is allocation-free: the descent reads each
+// cluster's DFS-contiguous identity range straight off the caller's
+// request-line bitmap, and every node owns its own line bitmap.
+type Tree struct {
 	name    string
 	n       int
 	depth   int
-	nodes   []simNode
+	nodes   []treeNode
 	leafOf  []int     // global agent -> leaf node index (index 0 unused)
 	reqTime []float64 // global agent -> pending request's issue time
 	hops    []Hop     // last grant's per-level resolutions, root first
-	buf     []int     // per-level waiting-set scratch
 }
 
-// NewSimTree builds the simulator face of spec. Every node's protocol
-// must be registered in core (the simulators' registry).
-func NewSimTree(spec *Spec) (*SimTree, error) {
+// NewTree builds the tree described by spec. Every node's protocol
+// must be registered in core.
+func NewTree(spec *Spec) (*Tree, error) {
 	if err := spec.Validate(func(name string) error {
 		_, err := core.ByName(name)
 		return err
@@ -68,27 +72,26 @@ func NewSimTree(spec *Spec) (*SimTree, error) {
 		return nil, err
 	}
 	n := spec.TotalAgents()
-	t := &SimTree{
+	t := &Tree{
 		name:    spec.Name(),
 		n:       n,
 		depth:   spec.Depth(),
 		leafOf:  make([]int, n+1),
 		reqTime: make([]float64, n+1),
 		hops:    make([]Hop, 0, spec.Depth()),
+		nodes:   make([]treeNode, 0, countNodes(spec)),
 	}
-	maxLines := 0
-	if _, err := t.build(spec, -1, 0, 0, 1, &maxLines); err != nil {
+	if _, err := t.build(spec, -1, 0, 0, 1); err != nil {
 		return nil, err
 	}
-	t.buf = make([]int, 0, maxLines)
 	return t, nil
 }
 
 // build flattens the spec subtree into t.nodes, assigning global
 // identities depth-first from first. It returns the node's index.
-func (t *SimTree) build(s *Spec, parent, childIdx, level, first int, maxLines *int) (int, error) {
+func (t *Tree) build(s *Spec, parent, childIdx, level, first int) (int, error) {
 	ni := len(t.nodes)
-	t.nodes = append(t.nodes, simNode{
+	t.nodes = append(t.nodes, treeNode{
 		parent:   parent,
 		childIdx: childIdx,
 		level:    level,
@@ -98,14 +101,14 @@ func (t *SimTree) build(s *Spec, parent, childIdx, level, first int, maxLines *i
 	if !s.Leaf() {
 		lines = len(s.Children)
 	}
-	if lines > *maxLines {
-		*maxLines = lines
-	}
 	factory, err := core.ByName(s.Protocol)
 	if err != nil {
 		return 0, err
 	}
 	t.nodes[ni].proto = factory(lines)
+	if parent >= 0 || !s.Leaf() {
+		t.nodes[ni].lines = t.linesOf(lines)
+	}
 	if s.Leaf() {
 		t.nodes[ni].last = first + s.Agents - 1
 		for g := first; g <= t.nodes[ni].last; g++ {
@@ -113,9 +116,10 @@ func (t *SimTree) build(s *Spec, parent, childIdx, level, first int, maxLines *i
 		}
 		return ni, nil
 	}
+	t.nodes[ni].children = make([]int, 0, len(s.Children))
 	next := first
 	for i := range s.Children {
-		ci, err := t.build(&s.Children[i], ni, i+1, level+1, next, maxLines)
+		ci, err := t.build(&s.Children[i], ni, i+1, level+1, next)
 		if err != nil {
 			return 0, err
 		}
@@ -127,21 +131,41 @@ func (t *SimTree) build(s *Spec, parent, childIdx, level, first int, maxLines *i
 	return ni, nil
 }
 
+// countNodes returns the number of arbitration nodes in a spec subtree.
+func countNodes(s *Spec) int {
+	n := 1
+	for i := range s.Children {
+		n += countNodes(&s.Children[i])
+	}
+	return n
+}
+
+// linesOf returns the line bitmap for a node with size lines: the one
+// an already built node of that size uses, or a new one.
+func (t *Tree) linesOf(size int) *bitarb.Vec {
+	for i := range t.nodes {
+		if v := t.nodes[i].lines; v != nil && v.N() == size {
+			return v
+		}
+	}
+	return bitarb.NewVec(size)
+}
+
 // Name implements core.Protocol: the Spec's collapsed display name
 // ("RR1" for a single-leaf tree, "FCFS2(4xRR1:8)" for a uniform
 // two-level one).
-func (t *SimTree) Name() string { return t.name }
+func (t *Tree) Name() string { return t.name }
 
 // N implements core.Protocol.
-func (t *SimTree) N() int { return t.n }
+func (t *Tree) N() int { return t.n }
 
 // Depth returns the number of arbitration levels.
-func (t *SimTree) Depth() int { return t.depth }
+func (t *Tree) Depth() int { return t.depth }
 
 // OnRequest implements core.Protocol: agent g's request line goes
 // high on its leaf bus, and every enclosing cluster whose line was
 // idle asserts its own line one level up.
-func (t *SimTree) OnRequest(g int, now float64) {
+func (t *Tree) OnRequest(g int, now float64) {
 	t.checkAgent(g)
 	t.reqTime[g] = now
 	ni := t.leafOf[g]
@@ -161,9 +185,9 @@ func (t *SimTree) OnRequest(g int, now float64) {
 // consumed at every level on its path. A cluster that still has
 // waiting agents re-asserts its line immediately — a fresh request at
 // the parent's bus, which is what keeps FCFS counters ranking cluster
-// lines by (re-)arrival order (the multi-waiter identity semantics of
-// the serving face, mirrored here).
-func (t *SimTree) OnServiceStart(g int, now float64) {
+// lines by (re-)arrival order (the same rule arbd applies to several
+// clients sharing one identity).
+func (t *Tree) OnServiceStart(g int, now float64) {
 	t.checkAgent(g)
 	ni := t.leafOf[g]
 	t.nodes[ni].proto.OnServiceStart(g-t.nodes[ni].first+1, now)
@@ -189,23 +213,24 @@ func (t *SimTree) OnServiceStart(g int, now float64) {
 // arbitration delay. A repass at any level (RR3's empty pass) aborts
 // the settle and reports Repass; the caller charges a fresh
 // arbitration delay and re-arbitrates the whole tree.
-func (t *SimTree) Arbitrate(waiting []int) core.Outcome {
-	if len(waiting) == 0 {
-		panic("topo: Arbitrate with no waiting agents")
-	}
+func (t *Tree) Arbitrate(waiting *bitarb.Vec) core.Outcome {
 	t.hops = t.hops[:0]
 	cur := 0
 	for {
 		node := &t.nodes[cur]
+		lines := node.lines
 		if len(node.children) == 0 {
-			// Leaf: translate the remaining global identities to the
-			// local bus (1-based within the cluster).
-			local := t.buf[:0]
-			for _, g := range waiting {
-				local = append(local, g-node.first+1)
+			if lines == nil {
+				lines = waiting // a single-leaf tree: the identities are its own
+			} else {
+				// Translate the cluster's global identities to the
+				// local bus (1-based within the cluster).
+				lines.Reset()
+				for g := waiting.MaxBelow(node.last + 1); g >= node.first; g = waiting.MaxBelow(g) {
+					lines.Set(g - node.first + 1)
+				}
 			}
-			t.buf = local[:0]
-			out := node.proto.Arbitrate(local)
+			out := node.proto.Arbitrate(lines)
 			if out.Repass {
 				return core.Outcome{Repass: true}
 			}
@@ -213,45 +238,31 @@ func (t *SimTree) Arbitrate(waiting []int) core.Outcome {
 			t.hops = append(t.hops, Hop{Level: node.level, LineUp: t.reqTime[w]})
 			return core.Outcome{Winner: w}
 		}
-		// Internal: a child competes iff some of its agents are in the
-		// snapshot; child ranges are contiguous and ascending, so the
-		// competitor set is a boundary scan over the sorted snapshot.
-		lines := t.buf[:0]
-		i := 0
+		// Internal: a child's line is asserted iff some identity in
+		// its contiguous range is.
+		lines.Reset()
 		for _, ci := range node.children {
 			child := &t.nodes[ci]
-			for i < len(waiting) && waiting[i] < child.first {
-				i++
-			}
-			if i < len(waiting) && waiting[i] <= child.last {
-				lines = append(lines, child.childIdx)
+			if waiting.MaxBelow(child.last+1) >= child.first {
+				lines.Set(child.childIdx)
 			}
 		}
-		t.buf = lines[:0]
 		out := node.proto.Arbitrate(lines)
 		if out.Repass {
 			return core.Outcome{Repass: true}
 		}
-		win := node.children[out.Winner-1]
-		child := &t.nodes[win]
-		t.hops = append(t.hops, Hop{Level: node.level, LineUp: child.lineUp})
-		lo := sort.SearchInts(waiting, child.first)
-		hi := lo
-		for hi < len(waiting) && waiting[hi] <= child.last {
-			hi++
-		}
-		waiting = waiting[lo:hi]
-		cur = win
+		cur = node.children[out.Winner-1]
+		t.hops = append(t.hops, Hop{Level: node.level, LineUp: t.nodes[cur].lineUp})
 	}
 }
 
 // LastHops returns the per-level resolutions of the most recent
 // successful Arbitrate, root first. The slice is reused by the next
 // call.
-func (t *SimTree) LastHops() []Hop { return t.hops }
+func (t *Tree) LastHops() []Hop { return t.hops }
 
 // Reset implements core.Protocol.
-func (t *SimTree) Reset() {
+func (t *Tree) Reset() {
 	for i := range t.nodes {
 		t.nodes[i].proto.Reset()
 		t.nodes[i].pending = 0
@@ -263,7 +274,7 @@ func (t *SimTree) Reset() {
 	t.hops = t.hops[:0]
 }
 
-func (t *SimTree) checkAgent(g int) {
+func (t *Tree) checkAgent(g int) {
 	if g < 1 || g > t.n {
 		panic(fmt.Sprintf("topo: agent %d out of range 1..%d", g, t.n))
 	}

@@ -1,38 +1,30 @@
 package topo
 
 import (
-	"sort"
 	"testing"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
-	"busarb/internal/grant"
 	"busarb/internal/rng"
 )
 
-// drive replays one random request/grant history through both faces
-// of the same spec under the simulators' convention (enqueue =
-// OnRequest, grant = Arbitrate + OnServiceStart) and requires
-// identical winner sequences. Valid for any tree whose RR3 nodes, if
-// present, are at the root: a repass below the root re-runs ancestor
-// arbitrations on the simulator face (the whole composite settles
-// again) while the serving face folds it inside the node, so the two
-// faces' dynamic state diverges by design there.
+// drive replays one random request/grant history through a tree under
+// the simulators' convention (enqueue = OnRequest, grant = Arbitrate
+// until no repass, then OnServiceStart) and checks every grant: the
+// winner is waiting, and its hops run root first, one per level of the
+// winner's path, none asserted after the resolve.
 func drive(t *testing.T, spec *Spec, seed uint64, steps int) {
 	t.Helper()
-	sim, err := NewSimTree(spec)
+	tree, err := NewTree(spec)
 	if err != nil {
-		t.Fatalf("NewSimTree: %v", err)
-	}
-	gt, err := NewGrantTree(spec)
-	if err != nil {
-		t.Fatalf("NewGrantTree: %v", err)
+		t.Fatalf("NewTree: %v", err)
 	}
 	n := spec.TotalAgents()
-	if sim.N() != n || gt.N() != n {
-		t.Fatalf("N: sim %d grant %d, want %d", sim.N(), gt.N(), n)
+	if tree.N() != n {
+		t.Fatalf("N = %d, want %d", tree.N(), n)
 	}
 	src := rng.New(seed)
-	waiting := make([]bool, n+1)
+	waiting := bitarb.NewVec(n)
 	nwait := 0
 	now := 0.0
 	grants := 0
@@ -40,38 +32,26 @@ func drive(t *testing.T, spec *Spec, seed uint64, steps int) {
 		now += 1
 		if nwait == 0 || (nwait < n && src.Float64() < 0.6) {
 			g := 1 + src.Intn(n)
-			for waiting[g] {
+			for waiting.Test(g) {
 				g = 1 + src.Intn(n)
 			}
-			waiting[g] = true
+			waiting.Set(g)
 			nwait++
-			sim.OnRequest(g, now)
-			if !gt.Enqueue(g) {
-				t.Fatalf("step %d: Enqueue(%d) = false for idle line", step, g)
-			}
-			if gt.Enqueue(g) {
-				t.Fatalf("step %d: Enqueue(%d) = true for asserted line", step, g)
-			}
+			tree.OnRequest(g, now)
 			continue
 		}
-		if gt.Pending() != nwait {
-			t.Fatalf("step %d: Pending = %d, want %d", step, gt.Pending(), nwait)
-		}
-		snap := make([]int, 0, nwait)
-		for id := 1; id <= n; id++ {
-			if waiting[id] {
-				snap = append(snap, id)
-			}
-		}
-		out := sim.Arbitrate(snap)
+		out := tree.Arbitrate(waiting)
 		for out.Repass {
-			out = sim.Arbitrate(snap)
+			out = tree.Arbitrate(waiting)
 		}
 		w := out.Winner
+		if w < 1 || w > n || !waiting.Test(w) {
+			t.Fatalf("step %d: granted non-waiting agent %d", step, w)
+		}
 		// Hops cover the winner's path: consecutive levels from the
 		// root, at most the tree depth (less in lopsided trees when a
 		// shallow cluster wins).
-		hops := sim.LastHops()
+		hops := tree.LastHops()
 		if len(hops) < 1 || len(hops) > spec.Depth() {
 			t.Fatalf("step %d: %d hops for depth-%d tree", step, len(hops), spec.Depth())
 		}
@@ -84,15 +64,8 @@ func drive(t *testing.T, spec *Spec, seed uint64, steps int) {
 			}
 		}
 		now += 1
-		sim.OnServiceStart(w, now)
-		gw := gt.Resolve()
-		if gw != w {
-			t.Fatalf("step %d (grant %d): faces disagree: sim %d, grant %d", step, grants, w, gw)
-		}
-		if !waiting[w] {
-			t.Fatalf("step %d: granted non-waiting agent %d", step, w)
-		}
-		waiting[w] = false
+		tree.OnServiceStart(w, now)
+		waiting.Clear(w)
 		nwait--
 		grants++
 	}
@@ -101,7 +74,9 @@ func drive(t *testing.T, spec *Spec, seed uint64, steps int) {
 	}
 }
 
-func TestFacesAgree(t *testing.T) {
+// TestTreeHopsRootFirst replays random histories through flat, uniform,
+// lopsided and RR3-rooted trees.
+func TestTreeHopsRootFirst(t *testing.T) {
 	specs := map[string]*Spec{
 		"flat-RR1":      {Protocol: "RR1", Agents: 16},
 		"flat-RR3":      {Protocol: "RR3", Agents: 16},
@@ -135,9 +110,9 @@ func TestDepth1DelegatesExactly(t *testing.T) {
 	for _, proto := range []string{"FP", "RR1", "RR2", "RR3", "FCFS1", "FCFS2"} {
 		t.Run(proto, func(t *testing.T) {
 			const n = 12
-			tree, err := NewSimTree(&Spec{Protocol: proto, Agents: n})
+			tree, err := NewTree(&Spec{Protocol: proto, Agents: n})
 			if err != nil {
-				t.Fatalf("NewSimTree: %v", err)
+				t.Fatalf("NewTree: %v", err)
 			}
 			if tree.Name() != proto {
 				t.Fatalf("Name = %q, want %q", tree.Name(), proto)
@@ -148,27 +123,22 @@ func TestDepth1DelegatesExactly(t *testing.T) {
 			}
 			flat := factory(n)
 			src := rng.New(7)
-			waiting := map[int]bool{}
+			waiting := bitarb.NewVec(n)
 			now := 0.0
 			for step := 0; step < 2000; step++ {
 				now += 1
-				if len(waiting) == 0 || (len(waiting) < n && src.Float64() < 0.55) {
+				if !waiting.Any() || (waiting.Count() < n && src.Float64() < 0.55) {
 					g := 1 + src.Intn(n)
-					for waiting[g] {
+					for waiting.Test(g) {
 						g = 1 + src.Intn(n)
 					}
-					waiting[g] = true
+					waiting.Set(g)
 					tree.OnRequest(g, now)
 					flat.OnRequest(g, now)
 					continue
 				}
-				snap := make([]int, 0, len(waiting))
-				for id := range waiting {
-					snap = append(snap, id)
-				}
-				sort.Ints(snap)
-				to := tree.Arbitrate(snap)
-				fo := flat.Arbitrate(snap)
+				to := tree.Arbitrate(waiting)
+				fo := flat.Arbitrate(waiting)
 				if to != fo {
 					t.Fatalf("step %d: tree %+v, flat %+v", step, to, fo)
 				}
@@ -178,71 +148,68 @@ func TestDepth1DelegatesExactly(t *testing.T) {
 				now += 1
 				tree.OnServiceStart(to.Winner, now)
 				flat.OnServiceStart(to.Winner, now)
-				delete(waiting, to.Winner)
+				waiting.Clear(to.Winner)
 			}
 		})
 	}
 }
 
-// TestTreeAllocFree pins the acceptance criterion: steady-state
-// operation of both faces at 1024 agents allocates nothing.
-func TestTreeAllocFree(t *testing.T) {
-	spec := mustUniform(t, []int{32, 32}, []string{"RR1", "FCFS2"})
-	sim, err := NewSimTree(spec)
+// TestTreeRepasses pins the repass rule: an RR3 empty pass at any
+// level aborts the settle and the caller re-arbitrates the whole tree,
+// so the root's register moves on each pass.
+func TestTreeRepasses(t *testing.T) {
+	tree, err := NewTree(mustUniform(t, []int{2, 2}, []string{"RR3", "RR1"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := NewGrantTree(spec)
+	waiting := bitarb.NewVec(4)
+	for _, g := range []int{1, 3} {
+		waiting.Set(g)
+		tree.OnRequest(g, 1)
+	}
+	// Pass 1: the RR1 root (register 0) picks cluster 2, whose fresh
+	// RR3 leaf makes an empty pass. Pass 2: the root, now holding 2,
+	// picks cluster 1, whose leaf makes its own empty pass. Pass 3:
+	// the root wraps back to cluster 2, whose leaf now grants agent 3.
+	for pass := 1; pass <= 2; pass++ {
+		if out := tree.Arbitrate(waiting); !out.Repass {
+			t.Fatalf("pass %d = %+v, want a repass", pass, out)
+		}
+	}
+	if out := tree.Arbitrate(waiting); out.Repass || out.Winner != 3 {
+		t.Fatalf("pass 3 = %+v, want agent 3", out)
+	}
+}
+
+// TestTreeAllocFree pins the acceptance criterion: steady-state
+// operation of a 1024-agent tree allocates nothing.
+func TestTreeAllocFree(t *testing.T) {
+	spec := mustUniform(t, []int{32, 32}, []string{"RR1", "FCFS2"})
+	tree, err := NewTree(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := spec.TotalAgents()
-	snap := make([]int, 0, n)
+	waiting := bitarb.NewVec(n)
 	now := 0.0
 	cycle := func() {
 		for g := 1; g <= n; g += 7 {
 			now += 1
-			sim.OnRequest(g, now)
-			gt.Enqueue(g)
+			tree.OnRequest(g, now)
+			waiting.Set(g)
 		}
-		snap = snap[:0]
-		for g := 1; g <= n; g += 7 {
-			snap = append(snap, g)
-		}
-		for len(snap) > 0 {
-			out := sim.Arbitrate(snap)
-			now += 1
-			sim.OnServiceStart(out.Winner, now)
-			if w := gt.Resolve(); w != out.Winner {
-				t.Fatalf("faces disagree: sim %d, grant %d", out.Winner, w)
+		for waiting.Any() {
+			out := tree.Arbitrate(waiting)
+			if out.Repass || !waiting.Test(out.Winner) {
+				t.Fatalf("bad outcome %+v", out)
 			}
-			i := sort.SearchInts(snap, out.Winner)
-			snap = append(snap[:i], snap[i+1:]...)
+			now += 1
+			tree.OnServiceStart(out.Winner, now)
+			waiting.Clear(out.Winner)
 		}
 	}
 	cycle() // warm scratch buffers
 	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
 		t.Errorf("steady-state tree cycle allocates %v per run, want 0", allocs)
-	}
-}
-
-// TestGrantTreeRepasses sums RR3 empty-pass counters across nodes.
-func TestGrantTreeRepasses(t *testing.T) {
-	spec := mustUniform(t, []int{4, 2}, []string{"RR3", "RR3"})
-	gt, err := NewGrantTree(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ grant.Scheduler = gt
-	var _ grant.Repasser = gt
-	gt.Enqueue(1)
-	gt.Enqueue(5)
-	// Fresh RR3 registers hold 0, so the first resolution at every
-	// level on the winning path is an empty pass.
-	if w := gt.Resolve(); w == 0 {
-		t.Fatal("Resolve = 0 with pending agents")
-	}
-	if got := gt.Repasses(); got < 2 {
-		t.Errorf("Repasses = %d, want at least 2 (root and winning leaf)", got)
 	}
 }

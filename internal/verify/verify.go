@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/core"
 )
 
@@ -69,14 +70,16 @@ func (s *state) key(sys System) string {
 	return b.String()
 }
 
-func (s *state) waitingIDs(n int) []int {
-	var ids []int
-	for id := 1; id <= n; id++ {
+// lines latches the state's waiting agents into the request-line
+// bitmap v and reports whether any agent waits.
+func (s *state) lines(v *bitarb.Vec) bool {
+	v.Reset()
+	for id := 1; id <= v.N(); id++ {
 		if s.waiting[id] {
-			ids = append(ids, id)
+			v.Set(id)
 		}
 	}
-	return ids
+	return v.Any()
 }
 
 // Explore runs the BFS up to maxStates distinct states.
@@ -96,6 +99,9 @@ func Explore(sys System, maxStates int) Result {
 	// step is a logical timestamp for OnRequest; it is NOT part of the
 	// state key (protocol registers are bounded even when time is not).
 	step := 0.0
+	// lines is the request-line bitmap each grant arbitrates over,
+	// reused: Arbitrate reads it synchronously and keeps nothing.
+	lines := bitarb.NewVec(sys.N)
 
 	for len(queue) > 0 {
 		cur := queue[0]
@@ -116,10 +122,10 @@ func Explore(sys System, maxStates int) Result {
 			succs = append(succs, next)
 		}
 		// Action: the bus grants (if anyone waits).
-		if ids := cur.waitingIDs(sys.N); len(ids) > 0 {
+		if cur.lines(lines) {
 			next := clone(cur, sys.N)
 			step++
-			w := arbitrate(next.proto, next.waitingIDs(sys.N))
+			w := arbitrate(next.proto, lines)
 			next.waiting[w] = false
 			next.bypass[w] = 0
 			next.proto.OnServiceStart(w, step)
@@ -177,7 +183,7 @@ func clone(s *state, n int) *state {
 }
 
 // arbitrate resolves an arbitration including RR3 repasses.
-func arbitrate(p core.Protocol, waiting []int) int {
+func arbitrate(p core.Protocol, waiting *bitarb.Vec) int {
 	for pass := 0; ; pass++ {
 		if pass > 2 {
 			panic("verify: runaway repass")
