@@ -298,7 +298,7 @@ func BenchmarkCoherentMachine(b *testing.B) {
 			Procs:    procs,
 			Protocol: MustProtocol("RR1"),
 			Seed:     1,
-			Duration: 2000,
+			Horizon:  2000,
 		})
 	}
 }

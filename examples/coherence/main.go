@@ -36,7 +36,7 @@ func run(name string, writeFrac, hotProb float64) {
 		Procs:           procs,
 		Protocol:        busarb.MustProtocol("RR1"),
 		Seed:            9,
-		Duration:        5000,
+		Horizon:         5000,
 		CheckInvariants: true,
 	})
 	var inval, coh, upg int64
@@ -76,7 +76,7 @@ func runMESI(exclusive bool) int64 {
 		Procs:           procs,
 		Protocol:        busarb.MustProtocol("RR1"),
 		Seed:            9,
-		Duration:        5000,
+		Horizon:         5000,
 		CheckInvariants: true,
 		Exclusive:       exclusive,
 	})

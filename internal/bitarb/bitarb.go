@@ -9,7 +9,7 @@
 // into a high-priority and a low-priority segment (req & thermo and
 // req & ^thermo), each segment is reduced with plain word arithmetic,
 // and the two results are combined — exactly the structure of
-// high-speed parallel RR arbiters. Three layers are provided:
+// high-speed parallel RR arbiters. Four layers are provided:
 //
 //   - Vec: a bitmap over agent identities with word-wise maximum-finding
 //     (Max, MaxBelow). MaxBelow(limit) is the thermometer-mask segment
@@ -19,10 +19,12 @@
 //     word row per number bit). Resolve runs one contention pass — the
 //     MSB-first tournament the wired-OR lines settle to — as width
 //     masked AND-reductions over the candidate words.
-//   - Counters: the FCFS waiting-time counters (§3.2) as bit-planes
+//   - Counters: FCFS1's waiting-time counters (§3.2) as bit-planes
 //     with a word-parallel saturating ripple-carry increment, so
-//     "every waiting agent increments" costs O(bits·words) instead of
-//     O(N).
+//     "every loser increments" costs O(bits·words) instead of O(N).
+//   - Arrivals: FCFS2's a-incr counters (§3.2), derived from arrival
+//     order instead of stored: a pulse costs O(1) amortized and the
+//     winner comes off the oldest arrivals in O(words + run).
 //
 // Identities are 1..n (identity 0 is reserved to mean "no competitor",
 // §2.1); bit i of the word row carries agent i, so bit 0 is never set.
@@ -305,7 +307,7 @@ func (p *Planes) Resolve(req *Vec) (winner int, number uint64) {
 }
 
 // Counters holds one saturating counter per identity as bit-planes:
-// the FCFS waiting-time counters of §3.2, maintained word-parallel.
+// FCFS1's waiting-time counters (§3.2), maintained word-parallel.
 type Counters struct {
 	n     int
 	cbits int
@@ -386,28 +388,9 @@ func (c *Counters) Reset() {
 // Max: the word-parallel form of "each waiting agent increments its
 // counter" (§3.2), one ripple-carry add over the bit-planes. Cost is
 // O(bits · words) regardless of how many agents increment.
-func (c *Counters) Inc(mask *Vec) { c.incWords(mask.w) }
-
-// IncExceptZero increments every identity in mask whose counter is
-// currently nonzero (FCFS2's same-pulse rule: an agent that arrived in
-// the sensing window does not count the coincident pulse, §3.2).
-func (c *Counters) IncExceptZero(mask *Vec) {
-	carry := c.carry
-	// zero-counter identities: no plane carries their bit.
-	for wi := range carry {
-		var nz uint64
-		for b := range c.plane {
-			nz |= c.plane[b][wi]
-		}
-		carry[wi] = mask.w[wi] & nz
-	}
-	c.rippleAdd(carry)
-}
-
-func (c *Counters) incWords(mask []uint64) {
-	carry := c.carry
-	copy(carry, mask)
-	c.rippleAdd(carry)
+func (c *Counters) Inc(mask *Vec) {
+	copy(c.carry, mask.w)
+	c.rippleAdd(c.carry)
 }
 
 // rippleAdd adds 1 to every counter whose bit is set in carry,

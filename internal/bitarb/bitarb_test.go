@@ -253,31 +253,6 @@ func TestCountersIncAndGet(t *testing.T) {
 	}
 }
 
-func TestCountersIncExceptZero(t *testing.T) {
-	c := NewCounters(3, 70)
-	mask := NewVec(70)
-	for i := 1; i <= 70; i++ {
-		mask.Set(i)
-	}
-	// Give identities 64..70 a nonzero count (word-boundary straddle).
-	pre := NewVec(70)
-	for i := 64; i <= 70; i++ {
-		pre.Set(i)
-	}
-	c.Inc(pre)
-	c.IncExceptZero(mask)
-	for i := 1; i <= 63; i++ {
-		if got := c.Get(i); got != 0 {
-			t.Fatalf("zero-counter identity %d incremented to %d", i, got)
-		}
-	}
-	for i := 64; i <= 70; i++ {
-		if got := c.Get(i); got != 2 {
-			t.Fatalf("nonzero identity %d = %d, want 2", i, got)
-		}
-	}
-}
-
 // TestCountersMaxIn cross-checks the (counter, identity) tournament
 // against a naive scan.
 func TestCountersMaxIn(t *testing.T) {
@@ -407,19 +382,30 @@ func TestSteadyStateAllocs(t *testing.T) {
 	v := NewVec(n)
 	p := NewPlanes(12, n)
 	c := NewCounters(8, n)
+	a := NewArrivals(8, n)
 	for i := 1; i <= n; i += 3 {
 		v.Set(i)
 		p.Store(i, uint64(i))
 	}
+	id := 0
 	work := func() {
 		v.Max()
 		v.MaxBelow(77)
 		v.CopyFrom(v)
 		p.Resolve(v)
 		c.Inc(v)
-		c.IncExceptZero(v)
 		c.MaxIn(v)
 		c.Zero(1)
+		// Enough pulses per run to fill the arrival ring and compact it.
+		for k := 0; k < 3*n; k++ {
+			id = id%n + 1
+			a.Pulse(id, k%4 == 0)
+			if k%2 == 0 {
+				a.Leave(a.MaxIn(v))
+			}
+		}
+		a.MaxIn(v)
+		a.Get(1)
 	}
 	work()
 	if allocs := testing.AllocsPerRun(100, work); allocs != 0 {

@@ -24,6 +24,7 @@ package bussim
 
 import (
 	"fmt"
+	"math"
 
 	"busarb/internal/bitarb"
 	"busarb/internal/core"
@@ -133,12 +134,6 @@ type ThinkSource interface {
 	// 0; used only for reporting.
 	MeanHint() float64
 }
-
-// samplerSource adapts a stationary distribution to ThinkSource.
-type samplerSource struct{ d dist.Sampler }
-
-func (s samplerSource) NextThink(src *rng.Source) float64 { return s.d.Sample(src) }
-func (s samplerSource) MeanHint() float64                 { return s.d.Mean() }
 
 // UniformLoad returns N identical interrequest samplers such that each
 // agent offers load/n, following the paper's definition
@@ -266,9 +261,12 @@ func (r *Result) ThroughputRatio(a, b int) stats.Estimate {
 }
 
 type agentState struct {
-	id         int
-	inter      ThinkSource
-	src        *rng.Source
+	id int
+	// Exactly one of inter and think is set (Config.Inter or
+	// Config.Sources).
+	inter      dist.Sampler
+	think      ThinkSource
+	src        rng.Source
 	urgentProb float64
 	urgent     bool
 	// genTimes[genHead:] is the FIFO of generation times of requests not
@@ -276,6 +274,8 @@ type agentState struct {
 	// line) while it is non-empty. The head index (rather than
 	// reslicing from the front) lets the backing array be reused: when
 	// the queue drains, both reset to zero and the capacity is kept.
+	// With Window == 1 the queue never holds more than one request, and
+	// every agent's one slot comes from a single slab.
 	genTimes []float64
 	genHead  int
 	// curGenTime is the generation time of the request in service.
@@ -288,16 +288,20 @@ type agentState struct {
 	// genBlocked marks a full window: the interrequest clock restarts
 	// when a completion frees a slot.
 	genBlocked bool
-	// arriveFn and completeFn are the agent's two event closures,
-	// allocated once at setup. At most one of each is pending at any
-	// time (one interrequest clock, one bus), so scheduling them
-	// repeatedly instead of fresh captures keeps the event loop
-	// allocation free.
-	arriveFn   func()
-	completeFn func()
 }
 
 func (a *agentState) waiting() bool { return len(a.genTimes) > a.genHead }
+
+// The simulator's event kinds. An agent has at most one think time and
+// one transaction pending (one interrequest clock, one bus), and one
+// arbitration is in flight at a time, so the event argument — the agent
+// — is all the state an event carries.
+const (
+	evArrive   sim.Kind = iota // the agent's think time ends
+	evComplete                 // the agent's transaction ends
+	evResolve                  // the arbitration in flight settles
+	evHorizon                  // Config.Horizon: measurement ends
+)
 
 type system struct {
 	cfg      Config
@@ -305,7 +309,7 @@ type system struct {
 	proto    core.Protocol
 	tree     *topo.Tree          // non-nil iff cfg.Topology is set (== proto)
 	classReq core.ClassRequester // nil if the protocol ignores classes
-	agents   []*agentState       // index by id (0 unused)
+	agents   []agentState        // index by id (0 unused)
 
 	waitingCount int
 	busBusy      bool
@@ -316,11 +320,9 @@ type system struct {
 	// while it has a request not yet in service (waitingCount is its
 	// population count). snap is the copy the arbitration in flight
 	// resolves over; only one arbitration is ever in flight
-	// (arbitrating guards), so one reusable bitmap suffices. resolveFn
-	// is the prebound resolution event.
+	// (arbitrating guards), so one reusable bitmap suffices.
 	lines, snap bitarb.Vec
 	arbExposed  bool
-	resolveFn   func()
 
 	service float64
 	arbOvh  float64
@@ -477,9 +479,9 @@ func Run(cfg Config) *Result {
 		utilBatches:    make([]float64, 0, cfg.Batches),
 	}
 	bitarb.InitVecs(cfg.N, &s.lines, &s.snap)
-	s.resolveFn = s.resolveArbitration
+	rows := make([]float64, cfg.N*cfg.Batches)
 	for i := range s.agentBatches {
-		s.agentBatches[i] = make([]float64, 0, cfg.Batches)
+		s.agentBatches[i] = rows[i*cfg.Batches : i*cfg.Batches : (i+1)*cfg.Batches]
 	}
 	if cr, ok := proto.(core.ClassRequester); ok {
 		s.classReq = cr
@@ -506,21 +508,26 @@ func Run(cfg Config) *Result {
 
 	master := rng.New(cfg.Seed)
 	s.serviceSrc = master.Split()
-	s.agents = make([]*agentState, cfg.N+1)
+	s.agents = make([]agentState, cfg.N+1)
+	var slots []float64
+	if cfg.Window == 1 {
+		slots = make([]float64, cfg.N+1)
+	}
 	for id := 1; id <= cfg.N; id++ {
-		var think ThinkSource
+		a := &s.agents[id]
+		a.id = id
 		if cfg.Sources != nil {
-			think = cfg.Sources[id-1]
+			a.think = cfg.Sources[id-1]
 		} else {
-			think = samplerSource{d: cfg.Inter[id-1]}
+			a.inter = cfg.Inter[id-1]
 		}
-		a := &agentState{id: id, inter: think, src: master.Split()}
+		master.SplitInto(&a.src)
+		if slots != nil {
+			a.genTimes = slots[id : id : id+1]
+		}
 		if cfg.UrgentProb != nil {
 			a.urgentProb = cfg.UrgentProb[id-1]
 		}
-		a.arriveFn = func() { s.requestArrives(a) }
-		a.completeFn = func() { s.completeService(a) }
-		s.agents[id] = a
 		s.scheduleNextRequest(a)
 	}
 
@@ -529,19 +536,39 @@ func Run(cfg Config) *Result {
 		// discarding any partial batch in progress. With Horizon == 0
 		// no event is scheduled and the run is bit-identical to the
 		// pre-Horizon engine.
-		s.sched.At(cfg.Horizon, func() { s.done = true })
+		s.sched.At(cfg.Horizon, evHorizon, 0)
 	}
-	s.sched.Run(func() bool { return s.done })
+	for !s.done {
+		kind, id, ok := s.sched.Next(math.Inf(1))
+		if !ok {
+			break
+		}
+		switch kind {
+		case evArrive:
+			s.requestArrives(&s.agents[id])
+		case evComplete:
+			s.completeService(&s.agents[id])
+		case evResolve:
+			s.resolveArbitration()
+		case evHorizon:
+			s.done = true
+		}
+	}
 	s.finish()
 	return s.res
 }
 
 func (s *system) scheduleNextRequest(a *agentState) {
-	d := a.inter.NextThink(a.src)
+	var d float64
+	if a.think != nil {
+		d = a.think.NextThink(&a.src)
+	} else {
+		d = a.inter.Sample(&a.src)
+	}
 	if d < 0 {
 		panic(fmt.Sprintf("bussim: agent %d produced negative think time %v", a.id, d))
 	}
-	s.sched.After(d, a.arriveFn)
+	s.sched.After(d, evArrive, a.id)
 }
 
 func (s *system) requestArrives(a *agentState) {
@@ -607,7 +634,7 @@ func (s *system) beginArbitration(exposed bool) {
 		s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
 			Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})
 	}
-	s.sched.After(s.arbOvh, s.resolveFn)
+	s.sched.After(s.arbOvh, evResolve, 0)
 }
 
 // emit forwards an event to the configured observer, if any.
@@ -632,7 +659,7 @@ func (s *system) resolveArbitration() {
 		// past the current transaction's end (handled by completeService
 		// finding arbitrating == true).
 		s.snapshotWaiting()
-		s.sched.After(s.arbOvh, s.resolveFn)
+		s.sched.After(s.arbOvh, evResolve, 0)
 		return
 	}
 	s.res.Arbitrations++
@@ -663,7 +690,7 @@ func (s *system) resolveArbitration() {
 }
 
 func (s *system) startService(id int) {
-	a := s.agents[id]
+	a := &s.agents[id]
 	// The oldest queued request enters service.
 	a.curGenTime = a.genTimes[a.genHead]
 	a.genHead++
@@ -682,7 +709,7 @@ func (s *system) startService(id int) {
 		dur = s.cfg.ServiceDist.Sample(s.serviceSrc)
 	}
 	a.curDur = dur
-	s.sched.After(dur, a.completeFn)
+	s.sched.After(dur, evComplete, id)
 	// §4.1: arbitration for the next master starts at the beginning of a
 	// bus transaction whenever requests are waiting — fully overlapped.
 	if s.waitingCount > 0 && !s.arbitrating {

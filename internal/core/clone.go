@@ -25,7 +25,6 @@ func (p *FCFS1) Clone() *FCFS1 {
 func (p *FCFS2) Clone() *FCFS2 {
 	c := *p
 	c.ctr = p.ctr.Clone()
-	c.wait = p.wait.Clone()
 	return &c
 }
 

@@ -109,14 +109,11 @@ func (p *FCFS1) Reset() { p.ctr.Reset() }
 // continuous-time model, only requests arriving at the identical instant
 // share a counter value.
 type FCFS2 struct {
-	n      int
-	layout ident.Layout
-	// Counters as kernel bit-planes and the waiting set as a bitmap:
-	// an a-incr pulse is one word-parallel saturating increment over
-	// the waiting agents, O(counter bits) per 64 agents instead of a
-	// per-agent scan.
-	ctr     *bitarb.Counters
-	wait    *bitarb.Vec
+	n int
+	// The counters follow from arrival order (bitarb.Arrivals): a pulse
+	// is O(1) amortized and the winner is read off the oldest arrivals,
+	// where hardware increments every counter in parallel.
+	ctr     *bitarb.Arrivals
 	lastT   float64 // time of the most recent a-incr pulse
 	hasLast bool
 }
@@ -126,13 +123,7 @@ type FCFS2 struct {
 // while an agent waits (each other agent can contribute at most one
 // pulse that precedes this agent's grant).
 func NewFCFS2(n int) *FCFS2 {
-	w := ident.Width(n)
-	return &FCFS2{
-		n:      n,
-		layout: ident.Layout{StaticBits: w, CounterBits: w},
-		ctr:    bitarb.NewCounters(w, n),
-		wait:   bitarb.NewVec(n),
-	}
+	return &FCFS2{n: n, ctr: bitarb.NewArrivals(ident.Width(n), n)}
 }
 
 // Name implements Protocol.
@@ -147,24 +138,17 @@ func (p *FCFS2) Counter(id int) int { return p.ctr.Get(id) }
 // OnRequest implements Protocol: the new requester pulses a-incr; every
 // already-waiting agent increments. Requests at the identical instant
 // see each other's pulse as one (they are inside the sensing window) and
-// share counter values — IncExceptZero skips the counter-0 agents that
-// arrived in the same window.
+// share counter values.
 func (p *FCFS2) OnRequest(id int, now float64) {
-	if p.hasLast && now == p.lastT {
-		p.ctr.IncExceptZero(p.wait)
-	} else {
-		p.ctr.Inc(p.wait)
-	}
-	p.ctr.Zero(id)
-	p.wait.Set(id)
+	p.ctr.Pulse(id, p.hasLast && now == p.lastT)
 	p.lastT, p.hasLast = now, true
 }
 
 // OnServiceStart implements Protocol.
-func (p *FCFS2) OnServiceStart(id int, _ float64) { p.wait.Clear(id) }
+func (p *FCFS2) OnServiceStart(id int, _ float64) { p.ctr.Leave(id) }
 
-// Arbitrate implements Protocol: the same (counter, identity) plane
-// tournament as FCFS1; the counters only move on a-incr pulses.
+// Arbitrate implements Protocol: the (counter, identity) maximum, as
+// FCFS1's; the counters only move on a-incr pulses.
 func (p *FCFS2) Arbitrate(waiting *bitarb.Vec) Outcome {
 	return Outcome{Winner: p.ctr.MaxIn(waiting)}
 }
@@ -172,7 +156,6 @@ func (p *FCFS2) Arbitrate(waiting *bitarb.Vec) Outcome {
 // Reset implements Protocol.
 func (p *FCFS2) Reset() {
 	p.ctr.Reset()
-	p.wait.Reset()
 	p.hasLast = false
 	p.lastT = 0
 }

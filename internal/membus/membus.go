@@ -21,6 +21,7 @@ package membus
 
 import (
 	"fmt"
+	"math"
 
 	"busarb/internal/bitarb"
 	"busarb/internal/core"
@@ -148,6 +149,20 @@ type pendingResp struct {
 	readyAt float64
 }
 
+// The machine's event kinds. The bus carries one tenure at a time and
+// one arbitration is in flight at a time, so an event's argument (a
+// processor, where it names one) and the tenure fields of machine are
+// all the state it needs.
+const (
+	evGenerate      sim.Kind = iota // arg's think time ends
+	evResolve                       // the arbitration in flight settles
+	evRequestEnd                    // connected: arg's whole tenure ends
+	evAddressEnd                    // split: arg's address cycles end
+	evResponseReady                 // a bank finishes a split access
+	evResponseEnd                   // split: the response burst ends
+	evHorizon                       // Config.Horizon: measurement ends
+)
+
 type machine struct {
 	cfg   Config
 	sched sim.Scheduler
@@ -157,11 +172,15 @@ type machine struct {
 	// Per-agent state. lines holds the request lines (an outstanding
 	// request not yet granted the bus); snap is the copy the
 	// arbitration in flight resolves over (one at a time: arbitrating
-	// guards); resolveFn is the prebound resolution event.
+	// guards).
 	lines, snap bitarb.Vec
-	resolveFn   func()
 	genTime     []float64
-	srcs        []*rng.Source
+	srcs        []rng.Source
+
+	// The tenure in flight: a split-mode address tenure's bank, and the
+	// request it carries or the response it delivers.
+	tenureBank int
+	tenure     pendingResp
 
 	// Memory controller state (split mode).
 	respQueue []pendingResp
@@ -225,7 +244,7 @@ func Run(cfg Config) *Result {
 		proto:      cfg.Protocol(nAgents),
 		memID:      cfg.N + 1,
 		genTime:    make([]float64, cfg.N+2),
-		srcs:       make([]*rng.Source, cfg.N+2),
+		srcs:       make([]rng.Source, cfg.N+2),
 		bankFreeAt: make([]float64, cfg.Banks),
 		target:     int64(cfg.Batches) * int64(cfg.BatchSize),
 		batchSize:  int64(cfg.BatchSize),
@@ -233,18 +252,38 @@ func Run(cfg Config) *Result {
 		res:        &Result{Mode: cfg.Mode, N: cfg.N},
 	}
 	bitarb.InitVecs(nAgents, &m.lines, &m.snap)
-	m.resolveFn = m.resolve
 	m.res.Protocol = m.proto.Name()
 	master := rng.New(cfg.Seed)
 	for id := 1; id <= cfg.N; id++ {
-		m.srcs[id] = master.Split()
+		master.SplitInto(&m.srcs[id])
 		m.scheduleThink(id)
 	}
-	m.srcs[m.memID] = master.Split()
+	master.SplitInto(&m.srcs[m.memID])
 	if cfg.Horizon > 0 {
-		m.sched.At(cfg.Horizon, func() { m.done = true })
+		m.sched.At(cfg.Horizon, evHorizon, 0)
 	}
-	m.sched.Run(func() bool { return m.done })
+	for !m.done {
+		kind, id, ok := m.sched.Next(math.Inf(1))
+		if !ok {
+			break
+		}
+		switch kind {
+		case evGenerate:
+			m.generate(id)
+		case evResolve:
+			m.resolve()
+		case evRequestEnd:
+			m.endRequest(id)
+		case evAddressEnd:
+			m.endAddress(id)
+		case evResponseReady:
+			m.responseReady()
+		case evResponseEnd:
+			m.endResponse()
+		case evHorizon:
+			m.done = true
+		}
+	}
 	m.finish()
 	return m.res
 }
@@ -257,8 +296,8 @@ func (m *machine) emit(e obs.Event) {
 }
 
 func (m *machine) scheduleThink(id int) {
-	d := m.cfg.Inter[id-1].Sample(m.srcs[id])
-	m.sched.After(d, func() { m.generate(id) })
+	d := m.cfg.Inter[id-1].Sample(&m.srcs[id])
+	m.sched.After(d, evGenerate, id)
 }
 
 func (m *machine) generate(id int) {
@@ -284,7 +323,7 @@ func (m *machine) maybeArbitrate() {
 	}
 	// Arbitration overhead: half an address cycle, overlapped with any
 	// current tenure (the §4.1 structure scaled to this bus).
-	m.sched.After(m.cfg.AddrTime/2, m.resolveFn)
+	m.sched.After(m.cfg.AddrTime/2, evResolve, 0)
 }
 
 func (m *machine) resolve() {
@@ -292,7 +331,7 @@ func (m *machine) resolve() {
 	if out.Repass {
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.Repass})
 		m.snap.CopyFrom(&m.lines)
-		m.sched.After(m.cfg.AddrTime/2, m.resolveFn)
+		m.sched.After(m.cfg.AddrTime/2, evResolve, 0)
 		return
 	}
 	m.arbitrating = false
@@ -337,35 +376,43 @@ func (m *machine) startRequest(id int) {
 		m.bankFreeAt[bank] = doneMem
 		end := doneMem + m.cfg.DataTime
 		m.busBusyAcc += end - now
-		m.sched.At(end, func() {
-			m.busBusy = false
-			m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: id})
-			m.complete(id, m.genTime[id])
-			m.scheduleThink(id)
-			m.afterTenure()
-		})
+		m.sched.At(end, evRequestEnd, id)
 	case Split:
 		// Address cycles only; the bank then works off-bus and the
 		// response queues at the memory controller.
 		end := now + m.cfg.AddrTime
 		m.busBusyAcc += m.cfg.AddrTime
-		gen := m.genTime[id]
-		m.sched.At(end, func() {
-			m.busBusy = false
-			m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: id})
-			start := m.sched.Now()
-			if m.bankFreeAt[bank] > start {
-				start = m.bankFreeAt[bank]
-				m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.BankConflict, Agent: id, Aux: int64(bank)})
-			}
-			ready := start + m.cfg.MemTime
-			m.bankBusyAcc += m.cfg.MemTime
-			m.bankFreeAt[bank] = ready
-			m.respQueue = append(m.respQueue, pendingResp{proc: id, genTime: gen, readyAt: ready})
-			m.sched.At(ready, func() { m.responseReady() })
-			m.afterTenure()
-		})
+		m.tenureBank, m.tenure = bank, pendingResp{proc: id, genTime: m.genTime[id]}
+		m.sched.At(end, evAddressEnd, id)
 	}
+}
+
+// endRequest ends a connected-mode tenure: the data is back.
+func (m *machine) endRequest(id int) {
+	m.busBusy = false
+	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: id})
+	m.complete(id, m.genTime[id])
+	m.scheduleThink(id)
+	m.afterTenure()
+}
+
+// endAddress ends a split-mode address tenure: the bank starts the
+// access off-bus and the response will queue at the controller.
+func (m *machine) endAddress(id int) {
+	bank := m.tenureBank
+	m.busBusy = false
+	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: id})
+	start := m.sched.Now()
+	if m.bankFreeAt[bank] > start {
+		start = m.bankFreeAt[bank]
+		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.BankConflict, Agent: id, Aux: int64(bank)})
+	}
+	ready := start + m.cfg.MemTime
+	m.bankBusyAcc += m.cfg.MemTime
+	m.bankFreeAt[bank] = ready
+	m.respQueue = append(m.respQueue, pendingResp{proc: id, genTime: m.tenure.genTime, readyAt: ready})
+	m.sched.At(ready, evResponseReady, 0)
+	m.afterTenure()
 }
 
 // responseReady marks one queued response as deliverable; the memory
@@ -397,26 +444,31 @@ func (m *machine) startResponse() {
 	if idx < 0 {
 		panic("membus: ready counter out of sync")
 	}
-	resp := m.respQueue[idx]
+	m.tenure = m.respQueue[idx]
 	m.respQueue = append(m.respQueue[:idx], m.respQueue[idx+1:]...)
 	m.respReady--
 	m.res.RespArbitrations++
 	end := m.sched.Now() + m.cfg.DataTime
 	m.busBusyAcc += m.cfg.DataTime
-	m.sched.At(end, func() {
-		m.busBusy = false
-		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: m.memID,
-			Aux: int64(resp.proc), Label: "response"})
-		m.complete(resp.proc, resp.genTime)
-		m.scheduleThink(resp.proc)
-		// More ready responses: re-assert immediately.
-		if m.respReady > 0 {
-			m.lines.Set(m.memID)
-			m.proto.OnRequest(m.memID, m.sched.Now())
-			m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.RequestIssued, Agent: m.memID})
-		}
-		m.afterTenure()
-	})
+	m.sched.At(end, evResponseEnd, 0)
+}
+
+// endResponse ends the memory controller's tenure: the response is
+// delivered.
+func (m *machine) endResponse() {
+	resp := m.tenure
+	m.busBusy = false
+	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: m.memID,
+		Aux: int64(resp.proc), Label: "response"})
+	m.complete(resp.proc, resp.genTime)
+	m.scheduleThink(resp.proc)
+	// More ready responses: re-assert immediately.
+	if m.respReady > 0 {
+		m.lines.Set(m.memID)
+		m.proto.OnRequest(m.memID, m.sched.Now())
+		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.RequestIssued, Agent: m.memID})
+	}
+	m.afterTenure()
 }
 
 func (m *machine) afterTenure() {

@@ -10,11 +10,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// BenchResult is one parsed benchmark line. The standard ns/op, B/op and
+// BenchResult is one benchmark: its parsed line, or the fold of its
+// repeats under `go test -count N`. The standard ns/op, B/op and
 // allocs/op measurements get dedicated fields; everything else (the
 // domain metrics the suite reports via b.ReportMetric, e.g.
 // "peak-FCFS-ratio") lands in Metrics keyed by unit.
@@ -27,6 +29,10 @@ type BenchResult struct {
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of repeats folded into this record (1 for a
+	// single line): NsPerOp and Metrics are their medians, BytesPerOp
+	// and AllocsPerOp their maxima, Iterations their sum.
+	Runs int `json:"runs,omitempty"`
 }
 
 // BenchSuite is a full `go test -bench` run: the environment header plus
@@ -45,9 +51,11 @@ type BenchSuite struct {
 }
 
 // ParseBench reads `go test -bench [-benchmem]` text output and returns
-// the structured suite. Non-benchmark lines (test results, PASS/ok,
-// metric chatter) are skipped; a malformed Benchmark line is an error so
-// truncated output cannot masquerade as a clean (if small) run.
+// the structured suite, one record per benchmark: the repeats of a
+// `-count N` run are folded (see BenchResult.Runs). Non-benchmark lines
+// (test results, PASS/ok, metric chatter) are skipped; a malformed
+// Benchmark line is an error so truncated output cannot masquerade as a
+// clean (if small) run.
 func ParseBench(r io.Reader) (*BenchSuite, error) {
 	s := &BenchSuite{}
 	pkg := "" // most recent "pkg:" header; ./... runs emit one per package
@@ -74,7 +82,7 @@ func ParseBench(r io.Reader) (*BenchSuite, error) {
 			if err != nil {
 				return nil, err
 			}
-			b.Pkg = pkg
+			b.Pkg, b.Runs = pkg, 1
 			if s.GOMAXPROCS == 0 {
 				s.GOMAXPROCS = max(b.Procs, 1)
 			}
@@ -84,7 +92,68 @@ func ParseBench(r io.Reader) (*BenchSuite, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	s.Benchmarks = foldRepeats(s.Benchmarks)
 	return s, nil
+}
+
+// foldRepeats merges the records that share a package, name and
+// processor count into one, at the position of the first. A single
+// record passes through unchanged.
+func foldRepeats(bs []BenchResult) []BenchResult {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	groups := make(map[key][]BenchResult, len(bs))
+	var order []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name, b.Procs}
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]BenchResult, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		f := BenchResult{Name: k.name, Pkg: k.pkg, Procs: k.procs}
+		ns := make([]float64, len(g))
+		metrics := map[string][]float64{}
+		for i, b := range g {
+			ns[i] = b.NsPerOp
+			f.Runs += max(b.Runs, 1)
+			f.Iterations += b.Iterations
+			f.BytesPerOp = max(f.BytesPerOp, b.BytesPerOp)
+			f.AllocsPerOp = max(f.AllocsPerOp, b.AllocsPerOp)
+			for unit, v := range b.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		f.NsPerOp = median(ns)
+		for unit, vs := range metrics {
+			if f.Metrics == nil {
+				f.Metrics = map[string]float64{}
+			}
+			f.Metrics[unit] = median(vs)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle of xs (the mean of the two middle values
+// for an even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 func parseBenchLine(line string) (BenchResult, error) {

@@ -100,3 +100,48 @@ func TestWriteBenchJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost data: %+v", back)
 	}
 }
+
+// TestParseBenchFoldsRepeats pins the -count fold: three repeats of one
+// benchmark become one record with the median ns/op, the largest
+// allocs/op and the repeat count, so -compare judges medians rather
+// than each old repeat against the last new one.
+func TestParseBenchFoldsRepeats(t *testing.T) {
+	in := `pkg: busarb/internal/sim
+BenchmarkScheduler 	 1000 	 30 ns/op 	 0 B/op 	 0 allocs/op
+BenchmarkOther 	 10 	 5 ns/op 	 2 ratio
+BenchmarkScheduler 	 1000 	 90 ns/op 	 16 B/op 	 1 allocs/op
+BenchmarkScheduler 	 2000 	 31 ns/op 	 0 B/op 	 0 allocs/op
+BenchmarkOther 	 10 	 7 ns/op 	 4 ratio
+BenchmarkScheduler-2 	 1000 	 50 ns/op
+`
+	s, err := ParseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Benchmarks) != 3 {
+		t.Fatalf("got %d records, want 3 (Scheduler, Other, Scheduler-2): %+v", len(s.Benchmarks), s.Benchmarks)
+	}
+	b := s.Benchmarks[0]
+	if b.Name != "BenchmarkScheduler" || b.Procs != 0 || b.Runs != 3 || b.NsPerOp != 31 ||
+		b.AllocsPerOp != 1 || b.BytesPerOp != 16 || b.Iterations != 4000 {
+		t.Errorf("folded Scheduler = %+v, want 3 runs, 31 ns/op, 1 allocs/op, 16 B/op, 4000 iterations", b)
+	}
+	if b := s.Benchmarks[1]; b.Runs != 2 || b.NsPerOp != 6 || b.Metrics["ratio"] != 3 {
+		t.Errorf("folded Other = %+v, want 2 runs, 6 ns/op, ratio 3", b)
+	}
+	if b := s.Benchmarks[2]; b.Procs != 2 || b.Runs != 1 || b.NsPerOp != 50 {
+		t.Errorf("Scheduler-2 = %+v, want its own single record", b)
+	}
+
+	old, err := ParseBench(strings.NewReader("BenchmarkScheduler 1 30 ns/op\nBenchmarkScheduler 1 32 ns/op\nBenchmarkScheduler 1 29 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := ParseBench(strings.NewReader("BenchmarkScheduler 1 30 ns/op\nBenchmarkScheduler 1 31 ns/op\nBenchmarkScheduler 1 90 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs, _ := CompareBench(old, next, 0.25); len(regs) != 0 {
+		t.Errorf("a trailing outlier failed the median gate: %v", regs)
+	}
+}

@@ -14,13 +14,15 @@ import (
 )
 
 // ReadBenchJSON parses a BENCH_<date>.json snapshot (the format
-// WriteBenchJSON emits).
+// WriteBenchJSON emits), folding any repeated records as ParseBench
+// does.
 func ReadBenchJSON(r io.Reader) (*BenchSuite, error) {
 	var s BenchSuite
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("report: parsing bench snapshot: %w", err)
 	}
+	s.Benchmarks = foldRepeats(s.Benchmarks)
 	return &s, nil
 }
 

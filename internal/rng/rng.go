@@ -133,5 +133,11 @@ func (r *Source) NormFloat64() float64 {
 // stream so that changing one agent's parameters does not perturb the
 // samples seen by others (common random numbers across experiments).
 func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ 0xd1342543de82ef95)
+	var s Source
+	r.SplitInto(&s)
+	return &s
 }
+
+// SplitInto seeds dst exactly as Split seeds the Source it returns, so
+// a simulator can keep its per-agent streams in one allocation.
+func (r *Source) SplitInto(dst *Source) { dst.Seed(r.Uint64() ^ 0xd1342543de82ef95) }

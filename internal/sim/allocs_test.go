@@ -9,19 +9,17 @@ import "testing"
 // every simulated event.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	var s Scheduler
-	fn := func() {}
 	// Warm the queue to its steady-state capacity.
 	for i := 0; i < 64; i++ {
-		s.After(float64(i), fn)
+		s.After(float64(i), 0, i)
 	}
-	for s.Step() {
-	}
+	drain(&s)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			s.After(float64(i), fn)
+			s.After(float64(i), 1, i)
 		}
-		for s.Step() {
+		for _, _, ok := s.Next(forever); ok; _, _, ok = s.Next(forever) {
 		}
 	})
 	if allocs != 0 {
@@ -30,41 +28,39 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSchedulerAtSteadyStateAllocs extends the steady-state guard to
-// the absolute-time entry point and the predicate-driven run loop, the
-// paths the Horizon cutoff and the observability layer lean on.
+// the absolute-time entry point and a bounded Next, the paths the
+// Horizon cutoff leans on.
 func TestSchedulerAtSteadyStateAllocs(t *testing.T) {
 	var s Scheduler
-	fn := func() {}
 	for i := 0; i < 64; i++ {
-		s.At(float64(i), fn)
+		s.At(float64(i), 0, i)
 	}
-	s.Run(func() bool { return false })
+	drain(&s)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		base := s.Now()
 		for i := 0; i < 64; i++ {
-			s.At(base+float64(i+1), fn)
+			s.At(base+float64(i+1), 0, i)
 		}
-		s.Run(func() bool { return false })
+		for _, _, ok := s.Next(base + 64); ok; _, _, ok = s.Next(base + 64) {
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("At+Run hot loop allocates %v times per 64-event cycle, want 0", allocs)
+		t.Errorf("At+Next hot loop allocates %v times per 64-event cycle, want 0", allocs)
 	}
 }
 
 // TestSchedulerResetKeepsCapacity pins that Reset retains the grown
-// backing array (Run in bussim resets per batch; a fresh array each
-// batch would defeat the pooling).
+// backing array (a simulator reset per run would otherwise regrow it).
 func TestSchedulerResetKeepsCapacity(t *testing.T) {
 	var s Scheduler
-	fn := func() {}
 	for i := 0; i < 64; i++ {
-		s.After(float64(i), fn)
+		s.After(float64(i), 0, i)
 	}
 	s.Reset()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			s.After(float64(i), fn)
+			s.After(float64(i), 0, i)
 		}
 		s.Reset()
 	})

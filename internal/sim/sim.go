@@ -1,15 +1,19 @@
 // Package sim provides a minimal discrete-event scheduler: a time-ordered
-// event queue with deterministic FIFO tie-breaking for simultaneous
-// events. Both the queueing-level bus simulator (package bussim) and the
-// cycle-level bus model (package cyclesim) run on it.
+// queue of typed events with deterministic FIFO tie-breaking for
+// simultaneous events. The queueing-level simulators (packages bussim,
+// snoop and membus) run on it; the cycle-level model in cyclesim steps
+// its own clock.
 //
-// The queue is a concrete index-based binary heap over a slice of event
-// structs. It deliberately avoids container/heap: that interface boxes
-// every element through interface{} on Push and Pop, which costs one heap
-// allocation per scheduled event — the dominant allocation of the whole
-// simulator. With the concrete heap, scheduling an event is allocation
-// free once the queue's backing array has grown to its steady-state
-// capacity (Pop reslices; it never frees).
+// An event is a kind and an integer argument, both chosen by the
+// simulator, which pops events with Next and dispatches them with a
+// switch; whatever an event needs beyond its argument lives in the
+// simulator's own state. Events hold no pointers, so the queue allocates
+// no closures and the garbage collector neither scans it nor pays write
+// barriers when it sifts. The queue is a concrete index-based binary
+// heap over a slice of event structs (container/heap would box every
+// element through interface{}); scheduling is allocation free once the
+// backing array has grown to its steady-state capacity (Next never
+// frees).
 package sim
 
 import (
@@ -17,22 +21,30 @@ import (
 	"math"
 )
 
+// Kind names what an event does. Each simulator defines its own kinds.
+type Kind uint8
+
 // Scheduler is a discrete-event clock and pending-event queue. The zero
 // value is ready to use at time 0.
 type Scheduler struct {
-	now   float64
-	seq   uint64
+	now float64
+	seq uint64
+	// queue[:n] is the heap. Only growth stores the slice header: the
+	// store is a pointer write, which pays a GC write barrier whenever
+	// a collection is marking.
 	queue []event
+	n     int
 }
 
 type event struct {
 	time float64
 	seq  uint64 // schedule order; breaks ties deterministically (FIFO)
-	fn   func()
+	kind Kind
+	arg  int32
 }
 
 // before is the heap order: earlier time first, then schedule order.
-func (e event) before(o event) bool {
+func (e *event) before(o *event) bool {
 	if e.time != o.time {
 		return e.time < o.time
 	}
@@ -41,28 +53,29 @@ func (e event) before(o event) bool {
 
 // push adds e to the heap (sift-up).
 func (s *Scheduler) push(e event) {
-	q := append(s.queue, e)
-	i := len(q) - 1
+	if s.n == len(s.queue) {
+		s.queue = append(s.queue, e)
+	}
+	q := s.queue
+	i := s.n
+	s.n++
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].before(q[parent]) {
+		if !e.before(&q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
-	s.queue = q
+	q[i] = e
 }
 
-// pop removes and returns the minimum event (sift-down). The backing
-// array's capacity is retained for reuse.
-func (s *Scheduler) pop() event {
+// pop removes the minimum event (sift-down).
+func (s *Scheduler) pop() {
+	s.n--
+	n := s.n
 	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // drop the closure reference so it can be collected
-	q = q[:n]
+	last := q[n]
 	i := 0
 	for {
 		l := 2*i + 1
@@ -70,70 +83,53 @@ func (s *Scheduler) pop() event {
 			break
 		}
 		child := l
-		if r := l + 1; r < n && q[r].before(q[l]) {
+		if r := l + 1; r < n && q[r].before(&q[l]) {
 			child = r
 		}
-		if !q[child].before(q[i]) {
+		if !q[child].before(&last) {
 			break
 		}
-		q[i], q[child] = q[child], q[i]
+		q[i] = q[child]
 		i = child
 	}
-	s.queue = q
-	return top
+	q[i] = last
 }
 
 // Now returns the current simulation time.
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Pending returns the number of scheduled events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return s.n }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: it
-// would silently corrupt causality.
-func (s *Scheduler) At(t float64, fn func()) {
+// At schedules an event of the given kind and argument at absolute
+// time t. Scheduling in the past panics: it would silently corrupt
+// causality.
+func (s *Scheduler) At(t float64, kind Kind, arg int) {
 	if t < s.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	s.push(event{time: t, seq: s.seq, fn: fn})
+	if int(int32(arg)) != arg {
+		panic(fmt.Sprintf("sim: event argument %d overflows int32", arg))
+	}
+	s.push(event{time: t, seq: s.seq, kind: kind, arg: int32(arg)})
 	s.seq++
 }
 
-// After schedules fn at now+d (d must be >= 0).
-func (s *Scheduler) After(d float64, fn func()) { s.At(s.now+d, fn) }
+// After schedules an event at now+d (d must be >= 0).
+func (s *Scheduler) After(d float64, kind Kind, arg int) { s.At(s.now+d, kind, arg) }
 
-// Step runs the next event, advancing the clock to its time. It reports
-// whether an event was run.
-func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
-		return false
+// Next removes the earliest pending event due at or before until,
+// advances the clock to its time and returns its kind and argument. ok
+// is false, and nothing changes, when no event is due by then; pass
+// math.Inf(1) to drain the queue.
+func (s *Scheduler) Next(until float64) (kind Kind, arg int, ok bool) {
+	if s.n == 0 || s.queue[0].time > until {
+		return 0, 0, false
 	}
-	e := s.pop()
-	s.now = e.time
-	e.fn()
-	return true
-}
-
-// RunUntil processes events with time <= t, then advances the clock to
-// exactly t.
-func (s *Scheduler) RunUntil(t float64) {
-	for len(s.queue) > 0 && s.queue[0].time <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Run processes events until the queue empties or stop returns true
-// (checked before each event). A nil stop runs to exhaustion.
-func (s *Scheduler) Run(stop func() bool) {
-	for len(s.queue) > 0 {
-		if stop != nil && stop() {
-			return
-		}
-		s.Step()
-	}
+	top := &s.queue[0]
+	s.now, kind, arg = top.time, top.kind, int(top.arg)
+	s.pop()
+	return kind, arg, true
 }
 
 // Reset discards all pending events and rewinds the clock to zero. The
@@ -141,8 +137,5 @@ func (s *Scheduler) Run(stop func() bool) {
 func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
-	for i := range s.queue {
-		s.queue[i] = event{}
-	}
-	s.queue = s.queue[:0]
+	s.n = 0
 }

@@ -1,19 +1,34 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"busarb/internal/rng"
 )
 
+var forever = math.Inf(1)
+
+// drain pops every pending event, returning the arguments in firing
+// order.
+func drain(s *Scheduler) []int {
+	var args []int
+	for {
+		_, arg, ok := s.Next(forever)
+		if !ok {
+			return args
+		}
+		args = append(args, arg)
+	}
+}
+
 func TestEventOrdering(t *testing.T) {
 	var s Scheduler
-	var order []int
-	s.At(3, func() { order = append(order, 3) })
-	s.At(1, func() { order = append(order, 1) })
-	s.At(2, func() { order = append(order, 2) })
-	s.Run(nil)
+	s.At(3, 0, 3)
+	s.At(1, 0, 1)
+	s.At(2, 0, 2)
+	order := drain(&s)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
@@ -24,71 +39,76 @@ func TestEventOrdering(t *testing.T) {
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
 	var s Scheduler
-	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(5, func() { order = append(order, i) })
+		s.At(5, 0, i)
 	}
-	s.Run(nil)
-	for i, v := range order {
+	for i, v := range drain(&s) {
 		if v != i {
-			t.Fatalf("tie-break not FIFO: %v", order)
+			t.Fatalf("tie-break not FIFO at %d: got %d", i, v)
 		}
 	}
 }
 
+// TestAfter schedules relative to the clock of the event being handled,
+// and returns each event's kind and argument as scheduled.
 func TestAfter(t *testing.T) {
 	var s Scheduler
-	fired := -1.0
-	s.At(2, func() {
-		s.After(0.5, func() { fired = s.Now() })
-	})
-	s.Run(nil)
-	if fired != 2.5 {
-		t.Errorf("fired at %v, want 2.5", fired)
+	s.At(2, 7, -4)
+	kind, arg, ok := s.Next(forever)
+	if !ok || kind != 7 || arg != -4 {
+		t.Fatalf("Next = (%d, %d, %v), want (7, -4, true)", kind, arg, ok)
+	}
+	s.After(0.5, 9, 1<<30)
+	if kind, arg, _ = s.Next(forever); kind != 9 || arg != 1<<30 || s.Now() != 2.5 {
+		t.Errorf("After fired (%d, %d) at %v, want (9, %d) at 2.5", kind, arg, s.Now(), 1<<30)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	var s Scheduler
-	s.At(5, func() {})
-	s.Step()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	s.At(1, func() {})
+	s.At(5, 0, 0)
+	s.Next(forever)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("past", func() { s.At(1, 0, 0) })
+	mustPanic("NaN", func() { s.At(math.NaN(), 0, 0) })
+	mustPanic("wide argument", func() { s.At(6, 0, math.MaxInt32+1) })
 }
 
+// TestRunUntil pins Next's bound: only events due at or before it fire.
 func TestRunUntil(t *testing.T) {
 	var s Scheduler
-	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { count++ })
+		s.At(float64(i), 0, i)
 	}
-	s.RunUntil(5)
-	if count != 5 {
-		t.Errorf("processed %d events, want 5", count)
+	count := 0
+	for _, _, ok := s.Next(5); ok; _, _, ok = s.Next(5) {
+		count++
 	}
-	if s.Now() != 5 {
-		t.Errorf("Now = %v, want 5", s.Now())
+	if count != 5 || s.Now() != 5 || s.Pending() != 5 {
+		t.Errorf("Next(5) fired %d events, Now=%v Pending=%d; want 5, 5, 5", count, s.Now(), s.Pending())
 	}
-	s.RunUntil(20)
-	if count != 10 || s.Now() != 20 {
-		t.Errorf("count=%d Now=%v", count, s.Now())
+	if rest := drain(&s); len(rest) != 5 || s.Now() != 10 {
+		t.Errorf("drain fired %v, Now=%v", rest, s.Now())
 	}
 }
 
+// TestRunWithStop pins that the caller's loop owns stopping: events not
+// popped stay pending.
 func TestRunWithStop(t *testing.T) {
 	var s Scheduler
-	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { count++ })
+		s.At(float64(i), 0, i)
 	}
-	s.Run(func() bool { return count >= 3 })
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
+	for count := 0; count < 3; count++ {
+		s.Next(forever)
 	}
 	if s.Pending() != 7 {
 		t.Errorf("Pending = %d, want 7", s.Pending())
@@ -97,45 +117,49 @@ func TestRunWithStop(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var s Scheduler
-	s.At(1, func() {})
-	s.Step()
-	s.At(9, func() {})
+	s.At(1, 0, 0)
+	s.Next(forever)
+	s.At(9, 0, 0)
 	s.Reset()
 	if s.Now() != 0 || s.Pending() != 0 {
 		t.Error("Reset incomplete")
 	}
-	ran := false
-	s.At(0.5, func() { ran = true })
-	s.Run(nil)
-	if !ran {
-		t.Error("scheduler unusable after Reset")
+	s.At(0.5, 0, 42)
+	if got := drain(&s); len(got) != 1 || got[0] != 42 {
+		t.Errorf("scheduler unusable after Reset: fired %v", got)
 	}
 }
 
 // Property: events always fire in non-decreasing time order regardless
-// of insertion order, including events scheduled from within events.
+// of insertion order, including events scheduled while handling events,
+// and simultaneous events fire in schedule order.
 func TestMonotoneClockProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		var s Scheduler
-		var times []float64
-		var schedule func(depth int)
-		schedule = func(depth int) {
-			times = append(times, s.Now())
-			if depth < 3 && src.Intn(2) == 0 {
-				s.After(src.Float64()*5, func() { schedule(depth + 1) })
-			}
-		}
+		// An event's argument is its schedule order; its kind is its
+		// nesting depth.
+		next := 0
 		for i := 0; i < 30; i++ {
-			s.At(src.Float64()*100, func() { schedule(0) })
+			// Coarse times make ties common.
+			s.At(float64(src.Intn(40)), 0, next)
+			next++
 		}
-		s.Run(nil)
-		for i := 1; i < len(times); i++ {
-			if times[i] < times[i-1] {
+		lastT, lastArg := -1.0, -1
+		for {
+			kind, arg, ok := s.Next(forever)
+			if !ok {
+				return true
+			}
+			if s.Now() < lastT || (s.Now() == lastT && arg < lastArg) {
 				return false
 			}
+			lastT, lastArg = s.Now(), arg
+			if kind < 3 && src.Intn(2) == 0 {
+				s.After(float64(src.Intn(5)), kind+1, next)
+				next++
+			}
 		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -145,7 +169,7 @@ func TestMonotoneClockProperty(t *testing.T) {
 func BenchmarkScheduler(b *testing.B) {
 	var s Scheduler
 	for i := 0; i < b.N; i++ {
-		s.After(1, func() {})
-		s.Step()
+		s.After(1, 0, 0)
+		s.Next(forever)
 	}
 }

@@ -208,11 +208,6 @@ type Config struct {
 	Seed      uint64
 	// Horizon is the simulated time to run (bus-transaction units).
 	Horizon float64
-	// Duration is the simulated time to run.
-	//
-	// Deprecated: use Horizon, the name shared by every simulator
-	// Config. Duration is honored only when Horizon is zero.
-	Duration float64
 	// Observer, if non-nil, receives the machine's event stream:
 	// request/arbitration/service events plus CacheMiss at each stalled
 	// reference, Invalidation per copy lost to another writer, and
@@ -262,6 +257,16 @@ func (r *Result) Summary() obs.Summary {
 	}
 }
 
+// The machine's event kinds. A processor has at most one reference
+// pending, the bus carries one transaction at a time and one
+// arbitration is in flight at a time, so the event argument — the
+// processor — and machine.inflight are all the state an event needs.
+const (
+	evRef     sim.Kind = iota // the processor executes its next reference
+	evResolve                 // the arbitration in flight settles
+	evTxEnd                   // the processor's bus transaction completes
+)
+
 type machine struct {
 	cfg   Config
 	sched sim.Scheduler
@@ -273,10 +278,10 @@ type machine struct {
 	arbitrating  bool
 	pendingWin   int
 	// snap is the request-line snapshot of the arbitration in flight
-	// (one at a time: arbitrating guards), reused across arbitrations;
-	// resolveFn is the prebound resolution event.
-	snap      *bitarb.Vec
-	resolveFn func()
+	// (one at a time: arbitrating guards), reused across arbitrations.
+	snap *bitarb.Vec
+	// inflight is the transaction on the bus (one at a time).
+	inflight tx
 
 	versions map[uint64]uint64 // per-block global write version
 	res      *Result
@@ -296,25 +301,19 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("snoop: processor %d incompletely configured", i+1)
 		}
 	}
-	if cfg.Horizon < 0 {
-		return fmt.Errorf("snoop: negative Horizon %v", cfg.Horizon)
-	}
-	if cfg.Horizon == 0 && cfg.Duration <= 0 {
-		return fmt.Errorf("snoop: positive Horizon required")
+	if cfg.Horizon <= 0 {
+		return fmt.Errorf("snoop: positive Horizon required, got %v", cfg.Horizon)
 	}
 	return nil
 }
 
 // Run executes the machine until the simulated clock reaches
-// cfg.Horizon (or the deprecated cfg.Duration).
+// cfg.Horizon.
 func Run(cfg Config) *Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := len(cfg.Procs)
-	if cfg.Horizon == 0 {
-		cfg.Horizon = cfg.Duration
-	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 4096
 	}
@@ -342,7 +341,6 @@ func Run(cfg Config) *Result {
 			Progress: make([]float64, n),
 		},
 	}
-	m.resolveFn = m.resolve
 	m.res.Protocol = m.proto.Name()
 	master := rng.New(cfg.Seed)
 	for i, p := range cfg.Procs {
@@ -353,7 +351,20 @@ func Run(cfg Config) *Result {
 		m.procs[p.ID] = p
 		m.scheduleRef(p)
 	}
-	m.sched.RunUntil(cfg.Horizon)
+	for {
+		kind, id, ok := m.sched.Next(cfg.Horizon)
+		if !ok {
+			break
+		}
+		switch kind {
+		case evRef:
+			m.executeRef(m.procs[id])
+		case evResolve:
+			m.resolve()
+		case evTxEnd:
+			m.completeTx(m.procs[id], m.inflight)
+		}
+	}
 	m.res.Time = cfg.Horizon
 	for i, p := range cfg.Procs {
 		m.res.Progress[i] = float64(p.Stats.Refs) / cfg.Horizon
@@ -369,7 +380,7 @@ func (m *machine) emit(e obs.Event) {
 }
 
 func (m *machine) scheduleRef(p *Proc) {
-	m.sched.After(p.CyclePerRef, func() { m.executeRef(p) })
+	m.sched.After(p.CyclePerRef, evRef, p.ID)
 }
 
 // executeRef runs one reference; on a hit the processor keeps going, on
@@ -471,7 +482,7 @@ func (m *machine) beginArbitration() {
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ArbitrationStart,
 			Agents: m.snap.AppendIDs(make([]int, 0, m.snap.Count()))})
 	}
-	m.sched.After(m.cfg.ArbOverhead, m.resolveFn)
+	m.sched.After(m.cfg.ArbOverhead, evResolve, 0)
 }
 
 func (m *machine) resolve() {
@@ -479,7 +490,7 @@ func (m *machine) resolve() {
 	if out.Repass {
 		m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.Repass})
 		m.snapshot()
-		m.sched.After(m.cfg.ArbOverhead, m.resolveFn)
+		m.sched.After(m.cfg.ArbOverhead, evResolve, 0)
 		return
 	}
 	m.arbitrating = false
@@ -511,7 +522,8 @@ func (m *machine) startTx(id int) {
 	m.res.Grants++
 	m.res.ByKind[t.kind]++
 	m.res.BusBusy += dur
-	m.sched.After(dur, func() { m.completeTx(p, t) })
+	m.inflight = t
+	m.sched.After(dur, evTxEnd, id)
 	if m.waitingCount > 0 && !m.arbitrating {
 		m.beginArbitration()
 	}

@@ -76,7 +76,7 @@ func TestReadSharingNoInvalidations(t *testing.T) {
 	}
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 1,
-		Duration: 200, CheckInvariants: true,
+		Horizon: 200, CheckInvariants: true,
 	})
 	if res.ByKind[BusRd] != 2 {
 		t.Errorf("BusRd = %d, want exactly 2 fills", res.ByKind[BusRd])
@@ -105,7 +105,7 @@ func TestWritePingPong(t *testing.T) {
 	procs := []*Proc{mk(), mk()}
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 2,
-		Duration: 400, CheckInvariants: true,
+		Horizon: 400, CheckInvariants: true,
 	})
 	inval := procs[0].Stats.InvalidationsRecv + procs[1].Stats.InvalidationsRecv
 	if inval < 50 {
@@ -136,7 +136,7 @@ func TestUpgradePath(t *testing.T) {
 	}
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 3,
-		Duration: 30, CheckInvariants: true,
+		Horizon: 30, CheckInvariants: true,
 	})
 	if res.ByKind[BusUpgr] != 1 {
 		t.Errorf("BusUpgr = %d, want 1 (S->M upgrade)", res.ByKind[BusUpgr])
@@ -159,7 +159,7 @@ func TestDirtyWritebackChain(t *testing.T) {
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 4,
 		CacheSize: cacheSize, BlockSize: blockBytes, Ways: 1,
-		Duration: 40, CheckInvariants: true,
+		Horizon: 40, CheckInvariants: true,
 	})
 	if res.ByKind[BusWB] != 1 {
 		t.Errorf("BusWB = %d, want 1", res.ByKind[BusWB])
@@ -183,7 +183,7 @@ func TestCoherenceOracleRandomWorkload(t *testing.T) {
 		res := Run(Config{
 			Procs: procs, Protocol: rrFactory(), Seed: seed,
 			CacheSize: 1024, BlockSize: 32, Ways: 2,
-			Duration: 500, CheckInvariants: true,
+			Horizon: 500, CheckInvariants: true,
 		})
 		if res.Grants == 0 {
 			t.Fatal("no bus traffic")
@@ -203,7 +203,7 @@ func TestCoherentMachineFairness(t *testing.T) {
 	}
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 6,
-		Duration: 2000, CheckInvariants: true,
+		Horizon: 2000, CheckInvariants: true,
 	})
 	minP, maxP := res.Progress[0], res.Progress[0]
 	for _, p := range res.Progress {
@@ -225,10 +225,10 @@ func TestCoherentMachineFairness(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	rr := rrFactory()
 	cases := []Config{
-		{Procs: []*Proc{{}}, Protocol: rr, Duration: 1},                                                                        // 1 proc
-		{Procs: []*Proc{{}, {}}, Protocol: nil, Duration: 1},                                                                   // no protocol
-		{Procs: []*Proc{{Pattern: writeForever(0), CyclePerRef: 1}, {}}, Protocol: rr, Duration: 1},                            // incomplete proc
-		{Procs: []*Proc{{Pattern: writeForever(0), CyclePerRef: 1}, {Pattern: writeForever(0), CyclePerRef: 1}}, Protocol: rr}, // no duration
+		{Procs: []*Proc{{}}, Protocol: rr, Horizon: 1},                                                                         // 1 proc
+		{Procs: []*Proc{{}, {}}, Protocol: nil, Horizon: 1},                                                                    // no protocol
+		{Procs: []*Proc{{Pattern: writeForever(0), CyclePerRef: 1}, {}}, Protocol: rr, Horizon: 1},                             // incomplete proc
+		{Procs: []*Proc{{Pattern: writeForever(0), CyclePerRef: 1}, {Pattern: writeForever(0), CyclePerRef: 1}}, Protocol: rr}, // no horizon
 	}
 	for i, cfg := range cases {
 		func() {
@@ -253,7 +253,7 @@ func TestMESISilentUpgrade(t *testing.T) {
 		}
 		res := Run(Config{
 			Procs: procs, Protocol: rrFactory(), Seed: 3,
-			Duration: 30, CheckInvariants: true, Exclusive: exclusive,
+			Horizon: 30, CheckInvariants: true, Exclusive: exclusive,
 		})
 		return res, procs[0]
 	}
@@ -281,7 +281,7 @@ func TestMESISharedReadPreventsExclusive(t *testing.T) {
 	}
 	res := Run(Config{
 		Procs: procs, Protocol: rrFactory(), Seed: 4,
-		Duration: 40, CheckInvariants: true, Exclusive: true,
+		Horizon: 40, CheckInvariants: true, Exclusive: true,
 	})
 	if res.ByKind[BusUpgr] == 0 {
 		t.Error("shared-then-written block upgraded silently (missed sharer)")
@@ -308,7 +308,7 @@ func TestMESIReducesUpgradeTrafficUnderPrivateWrites(t *testing.T) {
 		}
 		return Run(Config{
 			Procs: procs, Protocol: rrFactory(), Seed: 5,
-			CacheSize: 2048, Duration: 1500, CheckInvariants: true, Exclusive: exclusive,
+			CacheSize: 2048, Horizon: 1500, CheckInvariants: true, Exclusive: exclusive,
 		})
 	}
 	msi := mk(false)
