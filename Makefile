@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke perfbench-check fuzz paper examples examples-smoke trace-demo clean
+.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke perfbench-check soak fuzz paper examples examples-smoke trace-demo clean
 
 all: build vet test
 
@@ -90,6 +90,23 @@ bench-gate:
 		$(GO) run ./cmd/benchjson -stamp=false -o /tmp/busarb-bench-new.json
 	$(GO) run ./cmd/benchjson -compare -ns-threshold=-1 \
 		$$(ls BENCH_*.json | sort | tail -1) /tmp/busarb-bench-new.json
+
+# Soak the wall-clock tests whose verdict depends on scheduling: run
+# each SOAK times in one process and print how many runs failed. It is
+# not part of check or CI; run it on a change and on its parent on the
+# same machine to compare flake rates. The verbose output, whose log
+# lines carry every run's bandwidth ratios, is kept in SOAK_LOG.
+SOAK ?= 20
+SOAK_LOG ?= /tmp/busarb-soak.log
+soak:
+	@: > $(SOAK_LOG)
+	@for t in 'TestNetworkedFairness ./internal/arbd/' \
+		'TestClusterCapstoneFairness ./internal/arbd/cluster/' \
+		'TestRetriesExhausted ./client/'; do \
+		set -- $$t; \
+		$(GO) test -count=$(SOAK) -v -run "^$$1\$$" $$2 >>$(SOAK_LOG) 2>&1; \
+		echo "$$1: $$(grep -c "^--- FAIL: $$1 " $(SOAK_LOG)) of $(SOAK) runs failed"; \
+	done
 
 # FUZZTIME is overridable so CI can run a quick smoke
 # (`make fuzz FUZZTIME=10s`) while local runs default to 30s per target.

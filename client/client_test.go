@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,5 +213,134 @@ func TestClosedClient(t *testing.T) {
 	}
 	if _, err := c.Acquire(context.Background(), "bus", 1, client.AcquireOptions{}); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("acquire on closed client err = %v, want ErrClosed", err)
+	}
+}
+
+// connStates records the server-side life of every connection an
+// httptest server accepts, through its ConnState hook.
+type connStates struct {
+	mu     sync.Mutex
+	last   map[net.Conn]http.ConnState // guarded by mu
+	counts map[http.ConnState]int      // guarded by mu
+}
+
+func (cs *connStates) hook(conn net.Conn, st http.ConnState) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.last[conn] = st
+	cs.counts[st]++
+}
+
+func (cs *connStates) count(st http.ConnState) int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.counts[st]
+}
+
+// startHTTPDaemon serves a one-resource daemon over an httptest server
+// whose connections are recorded in the returned connStates.
+func startHTTPDaemon(t *testing.T, agents int) (string, *connStates) {
+	t.Helper()
+	d, err := arbd.New(arbd.Config{Resources: []arbd.ResourceConfig{{
+		Name: "bus", Agents: agents, Protocol: "RR1", Tick: tick,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &connStates{last: map[net.Conn]http.ConnState{}, counts: map[http.ConnState]int{}}
+	srv := httptest.NewUnstartedServer(d.Handler())
+	srv.Config.ConnState = cs.hook
+	srv.Start()
+	t.Cleanup(func() {
+		srv.Close()
+		d.Close()
+	})
+	return srv.URL, cs
+}
+
+// cycle runs one acquire/release round trip through c.
+func cycle(t *testing.T, c *client.Client, agent int) {
+	t.Helper()
+	ctx := context.Background()
+	lease, err := c.Acquire(ctx, "bus", agent, client.AcquireOptions{})
+	if err != nil {
+		t.Errorf("agent %d acquire: %v", agent, err)
+		return
+	}
+	if err := c.Release(ctx, lease); err != nil {
+		t.Errorf("agent %d release: %v", agent, err)
+	}
+}
+
+// TestHTTPCloseIsPrivate pins that an HTTP Client owns its connection
+// pool: closing one Client leaves another Client's idle connection to
+// the same daemon open.
+func TestHTTPCloseIsPrivate(t *testing.T) {
+	target, cs := startHTTPDaemon(t, 2)
+	kept, err := client.Dial(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Close()
+	cycle(t, kept, 1)
+	cs.mu.Lock()
+	var keptConn net.Conn
+	for conn := range cs.last {
+		keptConn = conn
+	}
+	cs.mu.Unlock()
+
+	closed, err := client.Dial(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle(t, closed, 2)
+	closed.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for cs.count(http.StateClosed) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("closing a client closed no connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cs.mu.Lock()
+	st := cs.last[keptConn]
+	cs.mu.Unlock()
+	if st == http.StateClosed {
+		t.Error("closing one client closed another client's idle connection")
+	}
+}
+
+// TestHTTPReusesConnections pins the HTTP transport's idle pool: 8
+// closed-loop agents sharing one Client find their connections again,
+// so no connection is closed while the Client is open and the daemon
+// sees about one connection per agent. An agent that dials while
+// every connection is busy may be handed one that frees up first; its
+// dial then lands in the pool as a spare, so the count may pass one
+// per agent, but dials stop once there is one per agent.
+func TestHTTPReusesConnections(t *testing.T) {
+	const agents, cycles = 8, 20
+	target, cs := startHTTPDaemon(t, agents)
+	c, err := client.Dial(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for agent := 1; agent <= agents; agent++ {
+		wg.Add(1)
+		go func(agent int) {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				cycle(t, c, agent)
+			}
+		}(agent)
+	}
+	wg.Wait()
+	if n := cs.count(http.StateClosed); n > 0 {
+		t.Errorf("%d connections closed while the client was open, want 0", n)
+	}
+	if n := cs.count(http.StateNew); n >= 2*agents {
+		t.Errorf("%d agents x %d cycles opened %d connections, want fewer than %d", agents, cycles, n, 2*agents)
 	}
 }

@@ -23,11 +23,11 @@ type clusterTransport struct {
 	opts options
 
 	mu     sync.Mutex
-	member []string                    // guarded by mu; dialable addrs, preference order
-	seen   map[string]bool             // guarded by mu; addr dedup for member
-	conns  map[string]*binaryTransport // guarded by mu; lazily dialed per member
-	owners map[string]string           // guarded by mu; resource -> owner addr
-	closed bool                        // guarded by mu
+	member []string               // guarded by mu; dialable addrs, preference order
+	seen   map[string]bool        // guarded by mu; addr dedup for member
+	conns  map[string]*memberConn // guarded by mu; lazily dialed per member
+	owners map[string]string      // guarded by mu; resource -> owner addr
+	closed bool                   // guarded by mu
 }
 
 // DialCluster connects to an arbd cluster. targets lists the member
@@ -53,7 +53,7 @@ func DialCluster(targets []string, opts ...Option) (*Client, error) {
 	ct := &clusterTransport{
 		opts:   o,
 		seen:   make(map[string]bool),
-		conns:  make(map[string]*binaryTransport),
+		conns:  make(map[string]*memberConn),
 		owners: make(map[string]string),
 	}
 	var httpTargets []string
@@ -178,38 +178,47 @@ func (ct *clusterTransport) route(resource string) []string {
 	return out
 }
 
-// conn returns the lazily-dialed transport for addr. Dialing happens
-// outside ct.mu so one dead member cannot stall routing to the rest;
-// a racing duplicate loses and is closed.
+// memberConn is one member's transport, dialed once: calls that need
+// the member while its dial is in flight wait on ready for the result.
+type memberConn struct {
+	ready chan struct{} // closed when the dial has finished
+	bt    *binaryTransport
+	err   error
+}
+
+// conn returns the lazily-dialed transport for addr. The first caller
+// dials, outside ct.mu so one dead member cannot stall routing to the
+// rest; concurrent callers wait for its dial rather than each dialing
+// their own, so a burst of first calls opens one connection. A failed
+// dial is forgotten, and the next call dials again.
 func (ct *clusterTransport) conn(addr string) (*binaryTransport, error) {
 	ct.mu.Lock()
 	if ct.closed {
 		ct.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if bt := ct.conns[addr]; bt != nil {
+	mc := ct.conns[addr]
+	if mc != nil {
 		ct.mu.Unlock()
-		return bt, nil
+		<-mc.ready
+		return mc.bt, mc.err
 	}
+	mc = &memberConn{ready: make(chan struct{})}
+	ct.conns[addr] = mc
 	ct.mu.Unlock()
+	defer close(mc.ready)
 	bt, err := newBinaryTransport(addr, ct.opts, ct.learn)
-	if err != nil {
-		return nil, err
-	}
 	ct.mu.Lock()
-	if ct.closed {
-		ct.mu.Unlock()
+	defer ct.mu.Unlock()
+	if err == nil && ct.closed {
 		bt.close()
-		return nil, ErrClosed
+		bt, err = nil, ErrClosed
 	}
-	if existing := ct.conns[addr]; existing != nil {
-		ct.mu.Unlock()
-		bt.close()
-		return existing, nil
+	if err != nil {
+		delete(ct.conns, addr)
 	}
-	ct.conns[addr] = bt
-	ct.mu.Unlock()
-	return bt, nil
+	mc.bt, mc.err = bt, err
+	return bt, err
 }
 
 // do runs one call against the routed members in order, failing over
@@ -262,8 +271,12 @@ func (ct *clusterTransport) close() error {
 	}
 	ct.closed = true
 	var conns []*binaryTransport
-	for _, bt := range ct.conns {
-		conns = append(conns, bt)
+	for _, mc := range ct.conns {
+		// A dial still in flight sees closed when it lands and closes
+		// its own transport.
+		if mc.bt != nil {
+			conns = append(conns, mc.bt)
+		}
 	}
 	ct.mu.Unlock()
 	var first error

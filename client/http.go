@@ -19,12 +19,20 @@ type httpTransport struct {
 	client *http.Client
 }
 
+// maxIdleHTTPConns bounds the idle connections a transport keeps to
+// its daemon: the default transport's process-wide idle cap, all of it
+// for the one host, so every concurrent agent sharing the Client
+// finds its connection again instead of redialing.
+const maxIdleHTTPConns = 100
+
 func newHTTPTransport(base string) *httpTransport {
+	// A private connection pool, so closing this transport cannot idle
+	// out anyone else's connections.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = maxIdleHTTPConns
 	return &httpTransport{
-		base: strings.TrimSuffix(base, "/"),
-		// A private http.Client so closing this transport cannot idle
-		// out anyone else's connections.
-		client: &http.Client{},
+		base:   strings.TrimSuffix(base, "/"),
+		client: &http.Client{Transport: tr},
 	}
 }
 

@@ -48,6 +48,13 @@ func (s *fakeServer) acceptLoop() {
 			return
 		}
 		s.mu.Lock()
+		if s.done {
+			// Accepted after stop copied the connection list: nobody
+			// else will close it.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns = append(s.conns, conn)
 		s.mu.Unlock()
 		go s.serve(conn)

@@ -7,11 +7,12 @@
 // Each configured resource is one shard: a single goroutine that owns
 // a grant.Bus — the resource's request lines and clock, driving a
 // core.Protocol (a flat protocol or a topo.Tree) — and runs the "bus
-// cycle": a ticker that
-// batches the acquire requests that arrived since the last tick,
-// expires leases and waiter deadlines, and, when the resource is free,
-// runs one arbitration and grants the winner a lease. Mirroring
-// the simulators' single-threaded event loops keeps the protocol state
+// cycle": a ticker that batches the acquire requests that arrived since
+// the last tick, expires the lease, and, when the resource is free,
+// runs one arbitration and grants the winner a lease. A queued
+// acquire's own goroutine owns its deadline: when its wait ends it has
+// the loop drop the waiter, so no tick scans the queue. Mirroring the
+// simulators' single-threaded event loops keeps the protocol state
 // free of locks; the only cross-goroutine seams are the shard's
 // request channels and an obs.Synchronized probe, through which the
 // /metricz handler reads live obs.Metrics windows and grant tallies
@@ -235,7 +236,7 @@ type acquireReq struct {
 	agent    int
 	deadline time.Time       // zero means no client deadline
 	ttl      time.Duration   // requested lease TTL (clamped to config)
-	ctx      context.Context // abandoned when done
+	ctx      context.Context // done at the deadline or when the client goes away
 	reply    chan acquireReply
 }
 
@@ -290,8 +291,9 @@ type shard struct {
 
 	acquireCh chan *acquireReq
 	releaseCh chan releaseReq
-	done      chan struct{} // closed by stop()
-	stopped   chan struct{} // closed when loop() exits
+	cancelCh  chan *acquireReq // acquires whose wait ended before their reply
+	done      chan struct{}    // closed by stop()
+	stopped   chan struct{}    // closed when loop() exits
 	stopOnce  sync.Once
 
 	// probe serializes the loop's emissions with /metricz reads of the
@@ -316,6 +318,7 @@ func newShard(rc ResourceConfig, proto core.Protocol, epoch time.Time, extra obs
 		epoch:     epoch,
 		acquireCh: make(chan *acquireReq, 64),
 		releaseCh: make(chan releaseReq, 16),
+		cancelCh:  make(chan *acquireReq),
 		done:      make(chan struct{}),
 		stopped:   make(chan struct{}),
 		bus:       grant.New(proto),
@@ -354,11 +357,13 @@ func (s *shard) loop() {
 			s.drain()
 			return
 		case req := <-s.acquireCh:
-			s.admit(req)
+			s.admit(req, time.Now())
+		case req := <-s.cancelCh:
+			s.cancel(req, time.Now())
 		case rel := <-s.releaseCh:
 			rel.reply <- s.release(rel.token)
 		case <-ticker.C:
-			s.tick()
+			s.tick(time.Now())
 		}
 	}
 }
@@ -389,10 +394,16 @@ func (s *shard) drain() {
 
 // admit queues one acquire, asserting the agent's request line if it
 // was idle. A full queue is backpressure: 503, try elsewhere or later.
-func (s *shard) admit(req *acquireReq) {
+// Otherwise a request whose wait already ended is answered 408 rather
+// than queued: the loop can take its cancel before the acquire itself.
+func (s *shard) admit(req *acquireReq, now time.Time) {
 	if s.nwait >= s.cfg.MaxQueue {
 		req.reply <- acquireReply{err: &statusError{codeOverload, fmt.Sprintf(
 			"arbd: resource %q queue full (%d waiters)", s.cfg.Name, s.nwait)}}
+		return
+	}
+	if serr := waiterDead(req, now); serr != nil {
+		req.reply <- acquireReply{err: serr}
 		return
 	}
 	s.waiters[req.agent] = append(s.waiters[req.agent], req)
@@ -402,6 +413,23 @@ func (s *shard) admit(req *acquireReq) {
 		// agent, exactly the paper's model. Further waiters queue
 		// behind the line and re-assert it when the grant is consumed.
 		s.emit(obs.Event{Time: s.now(), Kind: obs.RequestIssued, Agent: req.agent})
+	}
+}
+
+// cancel drops a queued waiter whose wait ended and answers it 408. A
+// request not in its agent's queue was already answered, or admit will
+// answer it. The agent's line stays asserted — the arbiter has no
+// "deassert" message, matching the hardware model — and a grant to a
+// line with no live waiter behind it is discarded.
+func (s *shard) cancel(req *acquireReq, now time.Time) {
+	q := s.waiters[req.agent]
+	for i, w := range q {
+		if w == req {
+			s.waiters[req.agent] = append(q[:i], q[i+1:]...)
+			s.nwait--
+			req.reply <- acquireReply{err: waiterDead(req, now)}
+			return
+		}
 	}
 }
 
@@ -422,78 +450,54 @@ func (s *shard) endLease() {
 	s.leaseAgent = 0
 }
 
-// tick is one bus cycle: expire the lease, drop dead waiters, and —
-// when the resource is free — arbitrate among the asserted lines.
-func (s *shard) tick() {
-	now := time.Now()
-	if s.leaseToken != "" && now.After(s.leaseExpiry) {
+// tick is one bus cycle: expire the lease and — when the resource is
+// free — arbitrate among the asserted lines and grant the winner.
+func (s *shard) tick(now time.Time) {
+	if s.leaseToken != "" && !now.Before(s.leaseExpiry) {
 		// The holder never released: the lease lapses so a crashed
 		// client cannot wedge the resource.
 		s.endLease()
 	}
-	s.expireWaiters(now)
-	if s.leaseToken != "" {
-		return
-	}
-	w, repasses := s.bus.Resolve()
-	if w == 0 {
-		return // no line asserted: the idle bus starts no arbitration
-	}
-	for ; repasses > 0; repasses-- {
-		s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
-	}
-	s.emit(obs.Event{Time: s.now(), Kind: obs.ArbitrationResolve, Agent: w})
-	req := s.popWaiter(w, now)
-	if req == nil {
-		// The line was asserted but every waiter behind it died while
-		// queued (deadline or abandoned context): the grant is
-		// discarded, like a bus master that fails to assume mastership.
-		return
-	}
-	s.grantLease(w, req, now)
-	if len(s.waiters[w]) > 0 && s.bus.Assert(w) {
-		// More clients share this identity: the line goes straight
-		// back up for the next of them, which is when its wait starts
-		// in the bus model.
-		s.emit(obs.Event{Time: s.now(), Kind: obs.RequestIssued, Agent: w})
-	}
-}
-
-// expireWaiters answers 408 to every queued waiter whose deadline
-// passed or whose client went away.
-func (s *shard) expireWaiters(now time.Time) {
-	for agent := 1; agent <= s.cfg.Agents; agent++ {
-		q := s.waiters[agent]
-		if len(q) == 0 {
+	for s.leaseToken == "" {
+		w, repasses := s.bus.Resolve()
+		if w == 0 {
+			return // no line asserted: the idle bus starts no arbitration
+		}
+		for ; repasses > 0; repasses-- {
+			s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
+		}
+		s.emit(obs.Event{Time: s.now(), Kind: obs.ArbitrationResolve, Agent: w})
+		req := s.popWaiter(w, now)
+		if req == nil {
+			// The line was asserted but every waiter behind it died while
+			// queued: the grant is discarded, like a bus master that fails
+			// to assume mastership, and the bus arbitrates again, in this
+			// cycle, among the lines still asserted.
 			continue
 		}
-		live := q[:0]
-		for _, req := range q {
-			if dead, code := waiterDead(req, now); dead {
-				req.reply <- acquireReply{err: code}
-				s.nwait--
-			} else {
-				live = append(live, req)
-			}
+		s.grantLease(w, req, now)
+		if len(s.waiters[w]) > 0 && s.bus.Assert(w) {
+			// More clients share this identity: the line goes straight
+			// back up for the next of them, which is when its wait starts
+			// in the bus model.
+			s.emit(obs.Event{Time: s.now(), Kind: obs.RequestIssued, Agent: w})
 		}
-		s.waiters[agent] = live
-		// A line asserted for waiters that all died stays asserted
-		// until its next (discarded) grant — the arbiter has no
-		// "deassert" message, matching the hardware model.
 	}
 }
 
-// waiterDead reports whether req can no longer be granted, and why.
-func waiterDead(req *acquireReq, now time.Time) (bool, *statusError) {
+// waiterDead returns the 408 for a req that can no longer be granted,
+// or nil. It checks the deadline before the context, whose own
+// deadline it is, so the answer names which of the two ended the wait.
+func waiterDead(req *acquireReq, now time.Time) *statusError {
+	if !req.deadline.IsZero() && !now.Before(req.deadline) {
+		return &statusError{codeDeadline, "arbd: acquire deadline exceeded while queued"}
+	}
 	select {
 	case <-req.ctx.Done():
-		return true, &statusError{codeDeadline, "arbd: client went away"}
+		return &statusError{codeDeadline, "arbd: client went away"}
 	default:
 	}
-	if !req.deadline.IsZero() && now.After(req.deadline) {
-		return true, &statusError{codeDeadline, "arbd: acquire deadline exceeded while queued"}
-	}
-	return false, nil
+	return nil
 }
 
 // popWaiter dequeues agent's oldest live waiter.
@@ -502,8 +506,8 @@ func (s *shard) popWaiter(agent int, now time.Time) *acquireReq {
 		req := s.waiters[agent][0]
 		s.waiters[agent] = s.waiters[agent][1:]
 		s.nwait--
-		if dead, code := waiterDead(req, now); dead {
-			req.reply <- acquireReply{err: code}
+		if serr := waiterDead(req, now); serr != nil {
+			req.reply <- acquireReply{err: serr}
 			continue
 		}
 		return req
@@ -553,33 +557,48 @@ func (s *shard) acquire(ctx context.Context, agent int, timeout, ttl time.Durati
 	req := &acquireReq{
 		agent: agent,
 		ttl:   ttl,
-		ctx:   ctx,
 		reply: make(chan acquireReply, 1),
 	}
 	if timeout > 0 {
 		req.deadline = time.Now().Add(timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, req.deadline)
+		defer cancel()
 	}
+	req.ctx = ctx
 	select {
 	case s.acquireCh <- req:
 	case <-s.done:
 		return Lease{}, &statusError{codeOverload, "arbd: shutting down"}
 	case <-ctx.Done():
-		return Lease{}, &statusError{codeDeadline, "arbd: client went away"}
+		return Lease{}, waiterDead(req, time.Now())
 	}
-	// From here the shard replies on grant, deadline, abandonment, or
-	// shutdown-drain. One race remains: the send above can buffer into
-	// acquireCh just after the exiting loop's final drain, leaving the
-	// request unowned — the stopped channel breaks the wait, with a
-	// last non-blocking look in case the reply and the shutdown raced.
-	select {
-	case rep := <-req.reply:
-		return rep.lease, rep.err
-	case <-s.stopped:
+	// From here the shard replies exactly once: on grant, on cancel, or
+	// in the shutdown drain. This goroutine owns the wait: when its
+	// context ends first it has the loop drop the waiter, then takes
+	// the one reply — a 408, or the grant if that won the race. One
+	// race remains: the send above can buffer into acquireCh just after
+	// the exiting loop's final drain, leaving the request unowned — the
+	// stopped channel breaks the wait, with a last non-blocking look in
+	// case the reply and the shutdown raced.
+	ended := ctx.Done()
+	for {
 		select {
 		case rep := <-req.reply:
 			return rep.lease, rep.err
-		default:
-			return Lease{}, &statusError{codeOverload, "arbd: shutting down"}
+		case <-ended:
+			ended = nil
+			select {
+			case s.cancelCh <- req:
+			case <-s.stopped:
+			}
+		case <-s.stopped:
+			select {
+			case rep := <-req.reply:
+				return rep.lease, rep.err
+			default:
+				return Lease{}, &statusError{codeOverload, "arbd: shutting down"}
+			}
 		}
 	}
 }

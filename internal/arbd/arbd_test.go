@@ -37,6 +37,24 @@ func res(name string, agents int, protocol string) ResourceConfig {
 	return ResourceConfig{Name: name, Agents: agents, Protocol: protocol, Tick: testTick}
 }
 
+// waitQueued blocks until the shard has admitted agent's first
+// request: its request line shows in the tally.
+func waitQueued(t *testing.T, s *shard, agent int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var queued bool
+		s.probe.Do(func() { queued = s.tally.requests[agent] > 0 })
+		if queued {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("agent %d never reached the shard queue", agent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // httpAcquire performs one acquire over HTTP, returning status and the
 // lease (valid only on 200).
 func httpAcquire(t *testing.T, base, resource string, agent int, params string) (int, Lease) {
@@ -189,21 +207,9 @@ func TestQueueFullAnswers503(t *testing.T) {
 		}
 		waiterDone <- code
 	}()
-	// ...and only once the shard has admitted it (its request line
-	// shows in the tally) is the queue actually full.
-	s := d.shards["bus"]
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var queued bool
-		s.probe.Do(func() { queued = s.tally.requests[2] > 0 })
-		if queued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never reached the shard queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// ...and only once the shard has admitted it is the queue actually
+	// full.
+	waitQueued(t, d.shards["bus"], 2)
 	if code, _ := httpAcquire(t, srv.URL, "bus", 3, ""); code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow acquire status %d, want 503", code)
 	}

@@ -29,6 +29,26 @@ func benchDaemon(b *testing.B) *Daemon {
 	return d
 }
 
+// BenchmarkDaemonAcquireRelease is the socket-free rung under the
+// transport benchmarks: Daemon.Acquire and Daemon.Release called
+// directly, so only the shard loop's round trip, the grant cycle
+// included, remains.
+func BenchmarkDaemonAcquireRelease(b *testing.B) {
+	d := benchDaemon(b)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lease, serr := d.Acquire(ctx, "bus", 1, 0, 0)
+		if serr != nil {
+			b.Fatal(serr)
+		}
+		if serr := d.Release("bus", lease.Token); serr != nil {
+			b.Fatal(serr)
+		}
+	}
+	b.StopTimer()
+}
+
 // benchLoop runs acquire+release round trips through c.
 func benchLoop(b *testing.B, c *client.Client) {
 	b.Helper()

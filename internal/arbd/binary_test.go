@@ -237,8 +237,7 @@ func TestBinaryServerClose(t *testing.T) {
 		_, err := c.Acquire(ctx, "bus", 2, client.AcquireOptions{})
 		waiterErr <- err
 	}()
-	// Let the waiter reach the shard queue.
-	time.Sleep(20 * testTick)
+	waitQueued(t, d.shards["bus"], 2)
 
 	if err := bs.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -132,8 +132,8 @@ type AgentLoad struct {
 	Grants int64
 	// Timeouts counts deadline answers (the daemon's 408).
 	Timeouts int64
-	// Elapsed is the agent's wall time from first acquire to last
-	// release.
+	// Elapsed is the agent's wall time from the run's common start to
+	// its last release.
 	Elapsed time.Duration
 	// Throughput is Grants per second of Elapsed.
 	Throughput float64
@@ -192,7 +192,11 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	start := time.Now()
+	// Every agent waits at one barrier and measures its span from the
+	// instant it opens: agents' own start times can differ by a large
+	// share of a short run, which would decide the bandwidth ratio.
+	barrier := make(chan struct{})
+	var start time.Time
 	for id := 1; id <= cfg.Agents; id++ {
 		wg.Add(1)
 		go func(id int) {
@@ -210,7 +214,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				think = dist.ByCV(cfg.ThinkMean, cfg.ThinkCV)
 			}
 			src := srcs[id-1]
-			agentStart := time.Now()
+			<-barrier
 			for r := 0; r < cfg.Requests; r++ {
 				if think != nil {
 					time.Sleep(time.Duration(think.Sample(src) * float64(time.Second)))
@@ -236,9 +240,11 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					return
 				}
 			}
-			res.agent.Elapsed = time.Since(agentStart)
+			res.agent.Elapsed = time.Since(start)
 		}(id)
 	}
+	start = time.Now()
+	close(barrier)
 	wg.Wait()
 
 	rep := &LoadReport{Agents: make([]AgentLoad, cfg.Agents), Elapsed: time.Since(start)}

@@ -98,3 +98,87 @@ func TestEveryProtocolServes(t *testing.T) {
 		t.Errorf("/metricz lists %d resources, want %d", len(m.Resources), len(rcs))
 	}
 }
+
+// TestDiscardedGrantReArbitrates pins the discarded-grant path: a line
+// whose waiters all left stays asserted, so the arbiter can grant it,
+// and the bus must then arbitrate again, in the same cycle, among the
+// lines still asserted. Under FP the timed-out agent 3 outranks the
+// patient agent 2.
+func TestDiscardedGrantReArbitrates(t *testing.T) {
+	d, _ := newTestDaemon(t, res("bus", 3, "FP"))
+	s := d.shards["bus"]
+	ctx := context.Background()
+	holder, serr := d.Acquire(ctx, "bus", 1, 0, 0)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	patient := make(chan acquireReply, 1)
+	go func() {
+		lease, serr := d.Acquire(ctx, "bus", 2, 0, 0)
+		patient <- acquireReply{lease, serr}
+	}()
+	waitQueued(t, s, 2)
+	if _, serr := d.Acquire(ctx, "bus", 3, 50*time.Millisecond, 0); serr == nil || serr.code != codeDeadline {
+		t.Fatalf("agent 3's queued acquire = %v, want 408", serr)
+	}
+	if serr := d.Release("bus", holder.Token); serr != nil {
+		t.Fatal(serr)
+	}
+	select {
+	case rep := <-patient:
+		if rep.err != nil || rep.lease.Agent != 2 {
+			t.Fatalf("patient waiter got %+v, %v; want agent 2's lease", rep.lease, rep.err)
+		}
+		d.Release("bus", rep.lease.Token)
+	case <-time.After(2 * time.Second):
+		t.Fatal("agent 2 was not granted after the discarded grant: the bus stalled")
+	}
+	var arbitrations, grants3 int64
+	s.probe.Do(func() { arbitrations, grants3 = s.tally.arbitrations, s.tally.grants[3] })
+	if arbitrations != 3 || grants3 != 0 {
+		t.Errorf("arbitrations = %d, agent 3 grants = %d; want 3 and 0 (holder, discarded grant to 3, agent 2)",
+			arbitrations, grants3)
+	}
+}
+
+// TestAbandonedWaiterFreesQueueSlot pins that a queued waiter whose
+// client goes away is answered 408 and leaves the queue: with room for
+// one waiter, the next acquire is admitted rather than answered 503.
+func TestAbandonedWaiterFreesQueueSlot(t *testing.T) {
+	rc := res("bus", 4, "RR1")
+	rc.MaxQueue = 1
+	d, _ := newTestDaemon(t, rc)
+	s := d.shards["bus"]
+	holder, serr := d.Acquire(context.Background(), "bus", 1, 0, 0)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan *statusError, 1)
+	go func() {
+		_, serr := d.Acquire(ctx, "bus", 2, 0, 0)
+		abandoned <- serr
+	}()
+	waitQueued(t, s, 2)
+	cancel()
+	select {
+	case serr := <-abandoned:
+		if serr == nil || serr.code != codeDeadline {
+			t.Fatalf("abandoned waiter = %v, want 408", serr)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("abandoned waiter was never answered")
+	}
+	next := make(chan acquireReply, 1)
+	go func() {
+		lease, serr := d.Acquire(context.Background(), "bus", 3, 0, 0)
+		next <- acquireReply{lease, serr}
+	}()
+	waitQueued(t, s, 3)
+	if serr := d.Release("bus", holder.Token); serr != nil {
+		t.Fatal(serr)
+	}
+	if rep := <-next; rep.err != nil || rep.lease.Agent != 3 {
+		t.Fatalf("next waiter got %+v, %v; want agent 3's lease", rep.lease, rep.err)
+	}
+}

@@ -157,18 +157,3 @@ func (l Layout) FromBits(bs []bool) uint64 {
 	}
 	return v
 }
-
-// Max returns the maximum of the encoded numbers and its index, the
-// abstract result of a parallel contention arbitration. It returns
-// (0, -1) for an empty set, matching the paper's "winning identity of
-// zero indicates that no agent participated" (§3.1, third
-// implementation).
-func Max(vs []uint64) (winner uint64, index int) {
-	index = -1
-	for i, v := range vs {
-		if v > winner || index < 0 {
-			winner, index = v, i
-		}
-	}
-	return winner, index
-}
