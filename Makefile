@@ -68,28 +68,36 @@ trace-demo:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Archive today's benchmark suite as BENCH_<date>.json (the perf
-# trajectory; commit the snapshot alongside perf-relevant PRs).
+# The benchmark suite as bench-json and bench-gate run it.
 # GOMAXPROCS=1 pins the processor count the snapshots are taken at:
 # the Table benches size their worker pool from GOMAXPROCS at package
 # init, so allocs/op grows with the core count. It must be set in the
 # environment — `-cpu 1` only takes effect after package init.
+# -run '^$' runs benchmarks only (`make check` runs the tests): when a
+# test fails, `go test` skips its package's benchmarks, and the snapshot
+# or the gate would silently cover fewer of them. The output goes to a
+# temporary file before benchjson reads it, so a failing `go test`
+# fails the target; a pipe would drop its exit status.
+BENCH_SUITE = GOMAXPROCS=1 $(GO) test -run '^$$' -bench=. -benchmem
+
+# Archive today's benchmark suite as BENCH_<date>.json (the perf
+# trajectory; commit the snapshot alongside perf-relevant PRs).
 bench-json:
-	GOMAXPROCS=1 $(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	{ $(BENCH_SUITE) ./... >"$$out" || { cat "$$out"; exit 1; }; } && \
+	$(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json <"$$out"
 
 # The bench-regression gate: rerun the suite (short benchtime — only
 # allocs/op is compared, and allocation counts don't depend on it) and
 # diff against the newest committed snapshot. ns/op is not gated here
 # because the hardware differs run to run; use
 # `benchjson -compare -ns-threshold=0.25 old new` manually for timing.
-# Runs at GOMAXPROCS=1, the processor count the snapshots are taken at
-# (see bench-json).
 BENCHTIME ?= 100ms
 bench-gate:
-	GOMAXPROCS=1 $(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | \
-		$(GO) run ./cmd/benchjson -stamp=false -o /tmp/busarb-bench-new.json
-	$(GO) run ./cmd/benchjson -compare -ns-threshold=-1 \
-		$$(ls BENCH_*.json | sort | tail -1) /tmp/busarb-bench-new.json
+	@out=$$(mktemp) && new=$$(mktemp) && trap 'rm -f "$$out" "$$new"' EXIT && \
+	{ $(BENCH_SUITE) -benchtime=$(BENCHTIME) ./... >"$$out" || { cat "$$out"; exit 1; }; } && \
+	$(GO) run ./cmd/benchjson -stamp=false -o "$$new" <"$$out" && \
+	$(GO) run ./cmd/benchjson -compare -ns-threshold=-1 $$(ls BENCH_*.json | sort | tail -1) "$$new"
 
 # Soak the wall-clock tests whose verdict depends on scheduling: run
 # each SOAK times in one process and print how many runs failed. It is
@@ -117,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSettleFindsMax -fuzztime=$(FUZZTIME) ./internal/contention/
 	$(GO) test -fuzz=FuzzKernelMatchesSettle -fuzztime=$(FUZZTIME) ./internal/contention/
 	$(GO) test -fuzz=FuzzArrivalsMatchCounters -fuzztime=$(FUZZTIME) ./internal/bitarb/
+	$(GO) test -fuzz=FuzzSoloMatchesHeap -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz=FuzzReadJSONL -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/arbd/codec/
 	$(GO) test -fuzz=FuzzRingStability -fuzztime=$(FUZZTIME) ./internal/arbd/cluster/

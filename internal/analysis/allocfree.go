@@ -25,7 +25,10 @@ import (
 //     per-request and per-grant protocol path every arbd shard runs —
 //     the constructor is setup;
 //   - internal/topo: the steady-state tree operations — building the
-//     tree is setup.
+//     tree is setup;
+//   - internal/sim: the event engine's per-event path — scheduling
+//     (At, After), popping (Next), the heap's sifts (push, pop) and the
+//     solo slots (arm, take), which every simulated event runs.
 //
 // Flagged constructs: make, new, slice/map composite literals,
 // &-literals, appends that are not provably reuse-backed, function
@@ -54,7 +57,7 @@ import (
 // is itself reported, so stale exemptions cannot accumulate.
 var AllocFree = &Analyzer{
 	Name: "allocfree",
-	Doc: "hot-path functions (bitarb, codec, grant assert/resolve, topo steady state) must not " +
+	Doc: "hot-path functions (bitarb, codec, grant assert/resolve, topo steady state, sim event path) must not " +
 		"allocate; //arblint:alloc annotates deliberate setup-phase allocations",
 	AppliesTo: allocFreeApplies,
 	Run:       runAllocFree,
@@ -73,6 +76,7 @@ var allocFreeScope = []struct {
 	{"internal/topo", []string{
 		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops", "Reset", "checkAgent",
 	}},
+	{"internal/sim", []string{"At", "After", "Next", "push", "pop", "arm", "take"}},
 }
 
 func allocFreeApplies(pkgPath string) bool {

@@ -80,7 +80,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.AllocFree, "busarb/internal/grant", true},
 		{analysis.AllocFree, "busarb/internal/topo", true},
 		{analysis.AllocFree, "busarb/internal/arbd", false},
-		{analysis.AllocFree, "busarb/internal/sim", false},
+		{analysis.AllocFree, "busarb/internal/sim", true},
 		{analysis.GoroLeak, "busarb/internal/arbd", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/cluster", true},
 		{analysis.GoroLeak, "busarb/client", true},

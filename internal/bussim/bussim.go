@@ -295,7 +295,11 @@ func (a *agentState) waiting() bool { return len(a.genTimes) > a.genHead }
 // The simulator's event kinds. An agent has at most one think time and
 // one transaction pending (one interrequest clock, one bus), and one
 // arbitration is in flight at a time, so the event argument — the agent
-// — is all the state an event carries.
+// — is all the state an event carries. The bus has one master at a
+// time, so the system has at most one evComplete pending, and with one
+// arbitration in flight and one horizon at most one evResolve and one
+// evHorizon: all three are declared solo (sim.Scheduler.Solo) and skip
+// the heap, which then holds only the agents' think times.
 const (
 	evArrive   sim.Kind = iota // the agent's think time ends
 	evComplete                 // the agent's transaction ends
@@ -478,6 +482,7 @@ func Run(cfg Config) *Result {
 		waitBatchStds:  make([]float64, 0, cfg.Batches),
 		utilBatches:    make([]float64, 0, cfg.Batches),
 	}
+	s.sched.Solo(evComplete, evResolve, evHorizon)
 	bitarb.InitVecs(cfg.N, &s.lines, &s.snap)
 	rows := make([]float64, cfg.N*cfg.Batches)
 	for i := range s.agentBatches {

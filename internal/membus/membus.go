@@ -152,7 +152,10 @@ type pendingResp struct {
 // The machine's event kinds. The bus carries one tenure at a time and
 // one arbitration is in flight at a time, so an event's argument (a
 // processor, where it names one) and the tenure fields of machine are
-// all the state it needs.
+// all the state it needs. That makes evResolve, the three tenure ends
+// and evHorizon solo (sim.Scheduler.Solo): each skips the heap, and a
+// second one pending would panic. evResponseReady is not solo: every
+// bank can have an access finishing.
 const (
 	evGenerate      sim.Kind = iota // arg's think time ends
 	evResolve                       // the arbitration in flight settles
@@ -253,6 +256,7 @@ func Run(cfg Config) *Result {
 	}
 	bitarb.InitVecs(nAgents, &m.lines, &m.snap)
 	m.res.Protocol = m.proto.Name()
+	m.sched.Solo(evResolve, evRequestEnd, evAddressEnd, evResponseEnd, evHorizon)
 	master := rng.New(cfg.Seed)
 	for id := 1; id <= cfg.N; id++ {
 		master.SplitInto(&m.srcs[id])

@@ -6,9 +6,12 @@ import "testing"
 // property: once the queue's backing array has grown, scheduling and
 // running events allocates nothing. A regression here (e.g. reverting to
 // container/heap's interface{} boxing) would put one allocation back on
-// every simulated event.
+// every simulated event. Kinds 2 and 3 are solo, so the slot path runs
+// beside the heap: each solo event re-arms itself 32 times, as a bus's
+// transaction ends and resolves do.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	var s Scheduler
+	s.Solo(2, 3)
 	// Warm the queue to its steady-state capacity.
 	for i := 0; i < 64; i++ {
 		s.After(float64(i), 0, i)
@@ -19,7 +22,12 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			s.After(float64(i), 1, i)
 		}
-		for _, _, ok := s.Next(forever); ok; _, _, ok = s.Next(forever) {
+		s.After(0.5, 2, 0)
+		s.After(0.25, 3, 0)
+		for kind, arg, ok := s.Next(forever); ok; kind, arg, ok = s.Next(forever) {
+			if kind >= 2 && arg < 32 {
+				s.After(1, kind, arg+1)
+			}
 		}
 	})
 	if allocs != 0 {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,22 +66,26 @@ func TestAfter(t *testing.T) {
 	}
 }
 
+// wantPanic fails t unless f panics with a message containing want.
+func wantPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	var s Scheduler
 	s.At(5, 0, 0)
 	s.Next(forever)
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("past", func() { s.At(1, 0, 0) })
-	mustPanic("NaN", func() { s.At(math.NaN(), 0, 0) })
-	mustPanic("wide argument", func() { s.At(6, 0, math.MaxInt32+1) })
+	wantPanic(t, "scheduling at 1 before now 5", func() { s.At(1, 0, 0) })
+	wantPanic(t, "scheduling at NaN", func() { s.At(math.NaN(), 0, 0) })
+	wantPanic(t, "overflows int32", func() { s.At(6, 0, math.MaxInt32+1) })
 }
 
 // TestRunUntil pins Next's bound: only events due at or before it fire.
@@ -115,17 +121,23 @@ func TestRunWithStop(t *testing.T) {
 	}
 }
 
+// TestReset also pins that Reset disarms the solo slots and keeps the
+// declarations.
 func TestReset(t *testing.T) {
 	var s Scheduler
+	s.Solo(1)
 	s.At(1, 0, 0)
 	s.Next(forever)
 	s.At(9, 0, 0)
+	s.At(4, 1, 7)
 	s.Reset()
 	if s.Now() != 0 || s.Pending() != 0 {
 		t.Error("Reset incomplete")
 	}
 	s.At(0.5, 0, 42)
-	if got := drain(&s); len(got) != 1 || got[0] != 42 {
+	s.At(2, 1, 9)
+	wantPanic(t, "second pending event of solo kind 1", func() { s.At(3, 1, 10) })
+	if got := drain(&s); len(got) != 2 || got[0] != 42 || got[1] != 9 {
 		t.Errorf("scheduler unusable after Reset: fired %v", got)
 	}
 }
@@ -171,5 +183,77 @@ func BenchmarkScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(1, 0, 0)
 		s.Next(forever)
+	}
+}
+
+// BenchmarkSchedulerBus drives the event mix of a bussim run at n
+// agents: n think times in the heap and, per grant, one transaction end
+// and one arbitration resolve in solo slots, the resolve overlapping
+// the transaction in flight. An op is one grant. Think times are
+// exponential with mean n transaction times, so the bus runs near
+// saturation with a queue of waiters, as at the paper's high loads.
+func BenchmarkSchedulerBus(b *testing.B) {
+	const (
+		evThink Kind = iota
+		evComplete
+		evResolve
+	)
+	for _, n := range []int{30, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var s Scheduler
+			s.Solo(evComplete, evResolve)
+			src := rng.New(uint64(n))
+			mean := float64(n)
+			// waiting is a FIFO ring of the agents whose think time
+			// ended; an agent is in it at most once.
+			waiting := make([]int, n)
+			head, queued := 0, 0
+			busy, arbitrating, pendingWin := false, false, -1
+			arbitrate := func() {
+				if queued > 0 && !arbitrating {
+					arbitrating = true
+					s.After(0.5, evResolve, 0)
+				}
+			}
+			start := func(a int) {
+				busy = true
+				s.After(1, evComplete, a)
+				arbitrate()
+			}
+			for a := 0; a < n; a++ {
+				s.After(mean*src.ExpFloat64(), evThink, a)
+			}
+			b.ResetTimer()
+			for grants := 0; grants < b.N; {
+				kind, a, _ := s.Next(forever)
+				switch kind {
+				case evThink:
+					waiting[(head+queued)%n] = a
+					queued++
+					if pendingWin < 0 {
+						arbitrate()
+					}
+				case evResolve:
+					arbitrating = false
+					w := waiting[head]
+					head, queued = (head+1)%n, queued-1
+					if busy {
+						pendingWin = w
+					} else {
+						start(w)
+					}
+				case evComplete:
+					grants++
+					busy = false
+					s.After(mean*src.ExpFloat64(), evThink, a)
+					if w := pendingWin; w >= 0 {
+						pendingWin = -1
+						start(w)
+					} else {
+						arbitrate()
+					}
+				}
+			}
+		})
 	}
 }

@@ -261,6 +261,9 @@ func (r *Result) Summary() obs.Summary {
 // pending, the bus carries one transaction at a time and one
 // arbitration is in flight at a time, so the event argument — the
 // processor — and machine.inflight are all the state an event needs.
+// evResolve and evTxEnd are therefore declared solo
+// (sim.Scheduler.Solo): they skip the heap, and a second one pending
+// would panic.
 const (
 	evRef     sim.Kind = iota // the processor executes its next reference
 	evResolve                 // the arbitration in flight settles
@@ -342,6 +345,7 @@ func Run(cfg Config) *Result {
 		},
 	}
 	m.res.Protocol = m.proto.Name()
+	m.sched.Solo(evResolve, evTxEnd)
 	master := rng.New(cfg.Seed)
 	for i, p := range cfg.Procs {
 		p.ID = i + 1
