@@ -18,7 +18,7 @@ import (
 // was gone.
 func TestMutationsTurnTheTreeRed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks three mutated copies of the module")
+		t.Skip("type-checks four mutated copies of the module")
 	}
 	prog, err := analysis.ModuleProgram()
 	if err != nil {
@@ -66,6 +66,15 @@ func TestMutationsTurnTheTreeRed(t *testing.T) {
 			old:      "func (v *Vec) Set(i int) {\n\tv.check(i)\n",
 			new:      "func (v *Vec) Set(i int) {\n\tv.check(i)\n\tv.w = append(v.w, 0)\n",
 			want:     "not provably reuse-backed",
+		},
+		{
+			name:     "adding a scratch make in core AAP1.Arbitrate",
+			analyzer: analysis.AllocFree,
+			file:     "internal/core/aap.go",
+			pkg:      "internal/core",
+			old:      "\tw := waiting.MaxAnd(&p.batch)\n",
+			new:      "\tscratch := make([]int, p.n)\n\t_ = scratch\n\tw := waiting.MaxAnd(&p.batch)\n",
+			want:     "make allocates on the hot path",
 		},
 	}
 

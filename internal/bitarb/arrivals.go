@@ -5,24 +5,31 @@ import (
 	"math/bits"
 )
 
-// Arrivals holds FCFS2's waiting-time counters (§3.2) without storing
-// them. Every waiting agent increments its counter on each a-incr
-// pulse, except that a counter still at 0 ignores the pulses of its
-// own sensing window; so a counter is the number of requests that
-// arrived after this one, and it follows from arrival order alone.
-// With Q pulses seen so far, a waiting agent's counter is 0 while its
-// arrival window is open and min(Max, Q−S) once it has closed, where S
-// is Q at the moment the window closed. Along arrival order the
-// counters are therefore non-increasing, and agents sharing a counter
-// form one contiguous run: one window, or the prefix that has
-// saturated at Max.
+// Arrivals holds the waiting-time counters of both FCFS variants
+// (§3.2) without storing them. Every waiting agent counts each pulse,
+// except that a counter still at 0 ignores the pulses of its own
+// window; so a counter follows from when its agent arrived. With Q
+// pulses seen so far, a waiting agent's counter is 0 while its arrival
+// window is open and min(Max, Q−S) once it has closed, where S is Q at
+// the moment the window closed. Along arrival order the counters are
+// therefore non-increasing, and agents sharing a counter form one
+// contiguous run: one window, or the prefix that has saturated at Max.
+//
+// The two variants differ in what a pulse is. For FCFS2 it is an
+// a-incr pulse, sent by each new request (Pulse), and the requests of
+// one sensing window share a window. For FCFS1 it is a lost
+// arbitration: before each contention pass the waiting set becomes the
+// request lines (Follow), so the agents requesting together for the
+// first time share a window, and after it one Tick counts the pass
+// against every one of them and Zero resets the winner.
 //
 // Arrivals keeps Q, each agent's S and the waiting agents in arrival
-// order. A pulse costs O(1) amortized instead of Counters' O(bits ·
-// words) ripple-carry add, and MaxIn reads the winner off the front of
-// the order in O(words + run) instead of running a plane tournament.
-// Observably it is exactly a Counters bank plus a waiting bitmap
-// driven the way FCFS2 drives them (see Pulse and Leave).
+// order. A pulse costs O(1) amortized instead of a bit-plane bank's
+// O(bits · words) ripple-carry add, and MaxIn reads the winner off the
+// front of the order in O(words + run) instead of running a plane
+// tournament. Observably it is exactly a bank of saturating counters
+// plus a waiting bitmap, driven the way FCFS2 and FCFS1 drive them
+// (see Pulse, Leave, Follow and Zero).
 type Arrivals struct {
 	n     int
 	cbits int
@@ -67,28 +74,17 @@ func NewArrivals(cbits, n int) *Arrivals {
 	}
 }
 
-// Pulse records identity id's a-incr pulse: every waiting agent counts
-// it — except, when sameWindow, the agents whose counter is still 0,
-// which arrived inside the same sensing window — and then id waits with
-// counter 0. It is Counters' Inc(wait) (IncExceptZero(wait) when
-// sameWindow) followed by Zero(id) and wait.Set(id). An id that is
-// already waiting starts over, as Zero would make it.
+// Pulse records identity id's a-incr pulse: Tick(sameWindow), then
+// Join(id). Every waiting agent counts it — except, when sameWindow,
+// the agents whose counter is still 0, which arrived inside the same
+// sensing window — and then id waits with counter 0.
 func (a *Arrivals) Pulse(id int, sameWindow bool) {
 	a.wait.check(id)
-	if !sameWindow {
-		// The open window closes: its members count from this pulse on.
-		for p := a.open; p < a.tail; p++ {
-			if i := int(a.ring[p]); a.live(i, p) {
-				a.stamp[i] = a.q
-			}
-		}
-	}
-	a.q++
+	a.Tick(sameWindow)
+	// join, written out: FCFS2 pulses on every request, and join is
+	// too large to inline.
 	if a.tail == len(a.ring) {
 		a.compact()
-	}
-	if !sameWindow {
-		a.open = a.tail
 	}
 	a.ring[a.tail] = int32(id)
 	a.pos[id] = int32(a.tail)
@@ -96,9 +92,120 @@ func (a *Arrivals) Pulse(id int, sameWindow bool) {
 	a.wait.w[id/wordBits] |= 1 << uint(id%wordBits)
 }
 
-// Leave takes id off the waiting set (it was granted), freezing its
-// counter: Counters' wait.Clear(id). Leaving when not waiting does
-// nothing.
+// Tick counts one pulse against every waiting agent whose counter is
+// not 0. Unless sameWindow, the open window closes first, so that its
+// members, at counter 0, count it too: the saturating increment of
+// every waiting counter (except those at 0 when sameWindow).
+// O(1) plus the open window's entries.
+func (a *Arrivals) Tick(sameWindow bool) {
+	if !sameWindow {
+		// The open window closes: its members count from this pulse on.
+		for p := a.open; p < a.tail; p++ {
+			if i := int(a.ring[p]); a.live(i, p) {
+				a.stamp[i] = a.q
+			}
+		}
+		a.open = a.tail
+	}
+	a.q++
+}
+
+// Join makes id wait with counter 0, in the open window. An id that is
+// already waiting starts over, as a zeroed counter would. O(1)
+// amortized.
+func (a *Arrivals) Join(id int) {
+	a.wait.check(id)
+	a.join(id)
+}
+
+func (a *Arrivals) join(id int) {
+	if a.tail == len(a.ring) {
+		a.compact()
+	}
+	a.ring[a.tail] = int32(id)
+	a.pos[id] = int32(a.tail)
+	a.tail++
+	a.wait.w[id/wordBits] |= 1 << uint(id%wordBits)
+}
+
+// Zero takes id off the waiting set with its counter at 0: FCFS1's
+// reset on a new request or a win. The next Follow that finds id on
+// the request lines has it join at counter 0.
+func (a *Arrivals) Zero(id int) {
+	a.wait.check(id)
+	a.wait.w[id/wordBits] &^= 1 << uint(id%wordBits)
+	a.stamp[id] = 0
+}
+
+// Follow makes the waiting set equal req, so that the next Tick counts
+// against exactly the agents on the request lines: FCFS1's "every
+// loser increments". An agent of req whose counter is 0 joins the open
+// window; waiting agents req dropped leave, freezing their counters;
+// and an agent of req with a frozen non-zero counter is put back into
+// arrival order at that counter by a slow path that shifts the order,
+// O(N) per such agent. When req only adds agents at counter 0 — a bus
+// whose lines drop only on a grant — Follow costs O(words) plus O(1)
+// per newcomer.
+func (a *Arrivals) Follow(req *Vec) {
+	if req.n != a.n {
+		panic(fmt.Sprintf("bitarb: Follow size mismatch: %d != %d", req.n, a.n))
+	}
+	wait := a.wait.w[:len(req.w)]
+	for wi, r := range req.w {
+		w := wait[wi]
+		if w == r {
+			continue
+		}
+		for gone := w &^ r; gone != 0; gone &= gone - 1 {
+			a.Leave(wi*wordBits + bits.TrailingZeros64(gone))
+		}
+		for add := r &^ w; add != 0; add &= add - 1 {
+			i := wi*wordBits + bits.TrailingZeros64(add)
+			if c := a.stamp[i]; c != 0 {
+				a.rejoin(i, c)
+			} else {
+				a.join(i)
+			}
+		}
+	}
+}
+
+// rejoin makes id, whose frozen counter c is not 0, wait again at c.
+// It goes into arrival order behind every waiting agent whose counter
+// is at least c and ahead of the rest, which keeps the counters
+// non-increasing along the order, and its stamp is set so that it
+// reads c and counts on from there. O(ring).
+func (a *Arrivals) rejoin(id int, c uint64) {
+	if a.tail == len(a.ring) {
+		a.compact()
+	}
+	// Counter-0 agents all sit in the open window, and nothing ahead of
+	// head is live; head passes open when every closed window is gone.
+	p := max(a.open, a.head)
+	for p > a.head {
+		if i := int(a.ring[p-1]); a.live(i, p-1) && a.count(i) >= c {
+			break
+		}
+		p--
+	}
+	for k := a.tail; k > p; k-- {
+		i := a.ring[k-1]
+		a.ring[k] = i
+		if int(a.pos[i]) == k-1 {
+			a.pos[i] = int32(k)
+		}
+	}
+	a.ring[p], a.pos[id] = int32(id), int32(p)
+	a.tail++
+	a.open = max(a.open, p) + 1
+	// A counter never exceeds the pulses seen, so q − c does not wrap.
+	a.stamp[id] = a.q - c
+	a.wait.w[id/wordBits] |= 1 << uint(id%wordBits)
+}
+
+// Leave takes id off the waiting set, freezing its counter: FCFS2's
+// grant, or an agent Follow no longer finds on the request lines.
+// Leaving when not waiting does nothing.
 func (a *Arrivals) Leave(id int) {
 	if !a.wait.Test(id) {
 		return
@@ -151,7 +258,9 @@ func (a *Arrivals) compact() {
 }
 
 // MaxIn returns the identity in req whose (counter, identity) pair is
-// largest, or -1 if req is empty: the same winner as Counters.MaxIn.
+// largest, or -1 if req is empty: the FCFS contention pass, where the
+// counter field sits above the static identity in the arbitration
+// number (§3.2).
 // When every identity in req waits, the winner is in the run of the
 // oldest waiting agent in req, so the cost is O(words + run); an
 // identity that does not wait (its counter is frozen) sends MaxIn to a

@@ -8,8 +8,11 @@ import (
 )
 
 // countersModel is the plain-int reference for Arrivals: one counter per
-// identity and a waiting flag, driven the way FCFS2 drives a Counters
-// bank (Inc or IncExceptZero over the waiting set, Zero, Set; Clear).
+// identity and a waiting flag, driven the way FCFS2 drives a bank of
+// saturating counters (increment the waiting set, or only its non-zero
+// counters within one window; zero the newcomer; clear on a grant) and
+// the way FCFS1 does (zero on request; increment the request lines and
+// zero the winner per arbitration).
 type countersModel struct {
 	max  int
 	ctr  []int
@@ -20,12 +23,18 @@ func newCountersModel(cbits, n int) *countersModel {
 	return &countersModel{max: 1<<uint(cbits) - 1, ctr: make([]int, n+1), wait: make([]bool, n+1)}
 }
 
-func (m *countersModel) pulse(id int, sameWindow bool) {
+// tick counts one pulse against every waiting counter, except, when
+// sameWindow, those still at 0.
+func (m *countersModel) tick(sameWindow bool) {
 	for i, w := range m.wait {
 		if w && !(sameWindow && m.ctr[i] == 0) && m.ctr[i] < m.max {
 			m.ctr[i]++
 		}
 	}
+}
+
+func (m *countersModel) pulse(id int, sameWindow bool) {
+	m.tick(sameWindow)
 	m.ctr[id] = 0
 	m.wait[id] = true
 }
@@ -41,6 +50,17 @@ func (m *countersModel) maxIn(req []bool) int {
 	return best
 }
 
+// lose is FCFS1's step after a contention pass: every agent on the
+// request lines counts it, and the winner starts over.
+func (m *countersModel) lose(req []bool, winner int) {
+	for i, r := range req {
+		if r && m.ctr[i] < m.max {
+			m.ctr[i]++
+		}
+	}
+	m.ctr[winner] = 0
+}
+
 func (m *countersModel) reset() {
 	clear(m.ctr)
 	clear(m.wait)
@@ -50,12 +70,36 @@ func (m *countersModel) clone() *countersModel {
 	return &countersModel{max: m.max, ctr: append([]int(nil), m.ctr...), wait: append([]bool(nil), m.wait...)}
 }
 
+// fillReq makes req (and its mirror in) one of the request bitmaps the
+// drives hand Arrivals, by mode: the waiting set (0, 1), a subset of it
+// (2), any subset of identities, so that frozen counters compete (3), a
+// single identity (4), or empty (5 and above).
+func fillReq(req *Vec, in, wait []bool, mode int, choose func(k int) int) {
+	req.Reset()
+	clear(in)
+	n := req.N()
+	for i := 1; i <= n; i++ {
+		if mode <= 2 && wait[i] && (mode < 2 || choose(2) == 0) || mode == 3 && choose(2) == 0 {
+			req.Set(i)
+			in[i] = true
+		}
+	}
+	if mode == 4 {
+		i := 1 + choose(n)
+		req.Set(i)
+		in[i] = true
+	}
+}
+
 // driveArrivals runs steps operations chosen by choose(k) (a value in
 // [0, k)) on an Arrivals and on the model, comparing Get for every
 // identity and MaxIn over a fresh request bitmap after each one. The
-// operations are pulses (a third of them in the same window, some of
-// them repeats by waiting agents), leaves (mostly the model's oldest
-// waiter, as a grant would), Reset, and Clone, after which the run
+// operations are FCFS2's pulses (a third of them in the same window,
+// some of them repeats by waiting agents) and leaves (mostly the
+// model's oldest waiter, as a grant would), mixed with FCFS1's
+// primitives — Zero, Tick in or out of the window, and Follow over any
+// request bitmap, so that frozen counters rejoin the order wherever
+// the pulses have left it — and Reset and Clone, after which the run
 // continues on the copy while the original is disturbed. The request
 // bitmap is the waiting set, a subset of it, any subset of identities
 // (so frozen counters compete), a single identity, or empty.
@@ -67,7 +111,7 @@ func driveArrivals(t *testing.T, n, cbits, steps int, choose func(k int) int) {
 	in := make([]bool, n+1)
 	var what string
 	for step := 0; step < steps; step++ {
-		switch op := choose(20); {
+		switch op := choose(24); {
 		case op < 10:
 			id, same := 1+choose(n), choose(3) == 0
 			a.Pulse(id, same)
@@ -90,35 +134,29 @@ func driveArrivals(t *testing.T, n, cbits, steps int, choose func(k int) int) {
 				m.reset()
 				what = "reset"
 			}
-		default:
+		case op == 19:
 			old := a
 			a, m = a.Clone(), m.clone()
 			old.Pulse(1+choose(n), false)
 			old.Leave(1 + choose(n))
 			what = "clone"
+		case op == 20:
+			id := 1 + choose(n)
+			a.Zero(id)
+			m.ctr[id], m.wait[id] = 0, false
+			what = "zero"
+		case op == 21:
+			same := choose(2) == 0
+			a.Tick(same)
+			m.tick(same)
+			what = "tick"
+		default:
+			fillReq(req, in, m.wait, choose(5), choose)
+			a.Follow(req)
+			copy(m.wait, in)
+			what = "follow"
 		}
-		req.Reset()
-		clear(in)
-		switch mode := choose(5); mode {
-		case 0, 1:
-			for i := 1; i <= n; i++ {
-				if m.wait[i] && (mode == 0 || choose(2) == 0) {
-					req.Set(i)
-					in[i] = true
-				}
-			}
-		case 2:
-			for i := 1; i <= n; i++ {
-				if choose(2) == 0 {
-					req.Set(i)
-					in[i] = true
-				}
-			}
-		case 3:
-			i := 1 + choose(n)
-			req.Set(i)
-			in[i] = true
-		}
+		fillReq(req, in, m.wait, choose(6), choose)
 		for i := 1; i <= n; i++ {
 			if got := a.Get(i); got != m.ctr[i] {
 				t.Fatalf("n=%d bits=%d step %d (%s): Get(%d) = %d, want %d", n, cbits, step, what, i, got, m.ctr[i])
@@ -130,10 +168,99 @@ func driveArrivals(t *testing.T, n, cbits, steps int, choose func(k int) int) {
 	}
 }
 
-// TestArrivalsMatchCounters pins Arrivals to the Counters semantics
-// FCFS2 had: random operation sequences at every word-boundary shape,
-// with counter widths narrow enough to saturate and the width FCFS2
-// uses (enough for n).
+// fcfs1Arbitrate is core.FCFS1's contention pass on Arrivals: the
+// request lines become the waiting set, the (counter, identity) maximum
+// wins, the pass counts against every agent on the lines, and the
+// winner starts over.
+func fcfs1Arbitrate(a *Arrivals, req *Vec) int {
+	a.Follow(req)
+	w := a.MaxIn(req)
+	a.Tick(false)
+	a.Zero(w)
+	return w
+}
+
+// driveFCFS1 runs steps operations chosen by choose(k) on an Arrivals
+// driven the way core.FCFS1 drives it, on a Counters bank driven the
+// way FCFS1 drove one (Zero on request; MaxIn, Inc over the request
+// lines, Zero the winner per arbitration) and on the plain-int model,
+// comparing the winners and Get for every identity after each one. The
+// operations are requests (some by agents already requesting),
+// arbitrations, Reset, and Clone, after which the run continues on the
+// copies while the originals are disturbed. An arbitration's request
+// bitmap is the requesting set, as bussim hands it, a subset of it, any
+// subset of identities, or a single identity — so counting agents drop
+// off the lines and agents come back with frozen counters — and is
+// never empty.
+func driveFCFS1(t *testing.T, n, cbits, steps int, choose func(k int) int) {
+	t.Helper()
+	a := NewArrivals(cbits, n)
+	c := NewCounters(cbits, n)
+	m := newCountersModel(cbits, n)
+	req := NewVec(n)
+	in := make([]bool, n+1)
+	requesting := make([]bool, n+1)
+	var what string
+	for step := 0; step < steps; step++ {
+		switch op := choose(20); {
+		case op < 9:
+			id := 1 + choose(n)
+			a.Zero(id)
+			c.Zero(id)
+			m.ctr[id] = 0
+			requesting[id] = true
+			what = "request"
+		case op < 18:
+			fillReq(req, in, requesting, choose(5), choose)
+			if !req.Any() {
+				i := 1 + choose(n)
+				req.Set(i)
+				in[i] = true
+			}
+			wa := fcfs1Arbitrate(a, req)
+			wc := c.MaxIn(req)
+			c.Inc(req)
+			c.Zero(wc)
+			wm := m.maxIn(in)
+			m.lose(in, wm)
+			if wa != wm || wc != wm {
+				t.Fatalf("n=%d bits=%d step %d: arbitration over %v won by %d (Arrivals), %d (Counters), want %d",
+					n, cbits, step, req.AppendIDs(nil), wa, wc, wm)
+			}
+			requesting[wm] = false
+			what = "arbitrate"
+		case op == 18:
+			if choose(4) == 0 {
+				a.Reset()
+				c.Reset()
+				m.reset()
+				clear(requesting)
+				what = "reset"
+			}
+		default:
+			oldA, oldC := a, c
+			a, c, m = a.Clone(), c.Clone(), m.clone()
+			oldA.Join(1 + choose(n))
+			oldA.Tick(false)
+			oldA.Zero(1 + choose(n))
+			oldC.Inc(req)
+			oldC.Zero(1 + choose(n))
+			what = "clone"
+		}
+		for i := 1; i <= n; i++ {
+			if got, cg := a.Get(i), c.Get(i); got != m.ctr[i] || cg != m.ctr[i] {
+				t.Fatalf("n=%d bits=%d step %d (%s): Get(%d) = %d (Arrivals), %d (Counters), want %d",
+					n, cbits, step, what, i, got, cg, m.ctr[i])
+			}
+		}
+	}
+}
+
+// TestArrivalsMatchCounters pins Arrivals to the counter semantics of
+// both FCFS variants: random operation sequences, driven as FCFS2
+// drives it and as FCFS1 does, at every word-boundary shape, with
+// counter widths narrow enough to saturate and the full width the
+// protocols use (enough for n).
 func TestArrivalsMatchCounters(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 63, 64, 65, 130, 1024} {
 		full := bits.Len(uint(n))
@@ -144,6 +271,7 @@ func TestArrivalsMatchCounters(t *testing.T) {
 			}
 			src := rng.New(uint64(n*64 + cbits))
 			driveArrivals(t, n, cbits, steps, src.Intn)
+			driveFCFS1(t, n, cbits, steps, src.Intn)
 		}
 	}
 }
@@ -206,7 +334,8 @@ func TestArrivalsPanics(t *testing.T) {
 
 // FuzzArrivalsMatchCounters is the differential test under fuzzer
 // control: the input picks n and the counter width, and its bytes,
-// read cyclically, choose the operations and request bitmaps.
+// read cyclically, choose the operations and request bitmaps of an
+// FCFS2 drive and then of an FCFS1 drive.
 func FuzzArrivalsMatchCounters(f *testing.F) {
 	f.Add(uint8(5), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint8(64), uint8(2), []byte{9, 0, 19, 3, 0, 17, 4, 0, 1, 2})
@@ -227,5 +356,7 @@ func FuzzArrivalsMatchCounters(f *testing.F) {
 			steps = 400
 		}
 		driveArrivals(t, n, cbits, steps, choose)
+		i = 0
+		driveFCFS1(t, n, cbits, steps, choose)
 	})
 }

@@ -9,22 +9,25 @@
 // into a high-priority and a low-priority segment (req & thermo and
 // req & ^thermo), each segment is reduced with plain word arithmetic,
 // and the two results are combined — exactly the structure of
-// high-speed parallel RR arbiters. Four layers are provided:
+// high-speed parallel RR arbiters. Three layers are provided:
 //
 //   - Vec: a bitmap over agent identities with word-wise maximum-finding
-//     (Max, MaxBelow). MaxBelow(limit) is the thermometer-mask segment
-//     split: the highest set bit strictly below limit, i.e. the winner
-//     of the high-priority segment of a round-robin scan.
+//     (Max, MaxBelow, MaxAnd, MaxAndNot). MaxBelow(limit) is the
+//     thermometer-mask segment split: the highest set bit strictly
+//     below limit, i.e. the winner of the high-priority segment of a
+//     round-robin scan. MaxAnd and MaxAndNot are the masked priority
+//     encoder of the assured access protocols: the highest request in
+//     (or outside) the batch or inhibit set.
 //   - Planes: arbitration numbers stored as bit-planes (one Vec-shaped
 //     word row per number bit). Resolve runs one contention pass — the
 //     MSB-first tournament the wired-OR lines settle to — as width
 //     masked AND-reductions over the candidate words.
-//   - Counters: FCFS1's waiting-time counters (§3.2) as bit-planes
-//     with a word-parallel saturating ripple-carry increment, so
-//     "every loser increments" costs O(bits·words) instead of O(N).
-//   - Arrivals: FCFS2's a-incr counters (§3.2), derived from arrival
-//     order instead of stored: a pulse costs O(1) amortized and the
-//     winner comes off the oldest arrivals in O(words + run).
+//   - Arrivals: the waiting-time counters of both FCFS variants (§3.2),
+//     derived from arrival order instead of stored. FCFS2 pulses
+//     (Pulse); FCFS1 counts each arbitration against the request lines
+//     (Follow, Tick, Zero). A pulse costs O(1) amortized, a lose step
+//     O(words) plus O(1) per newcomer, and the winner comes off the
+//     oldest arrivals in O(words + run).
 //
 // Identities are 1..n (identity 0 is reserved to mean "no competitor",
 // §2.1); bit i of the word row carries agent i, so bit 0 is never set.
@@ -196,6 +199,28 @@ func (v *Vec) MaxBelow(limit int) int {
 	}
 }
 
+// MaxAnd returns the highest identity set in both v and m, or -1 if
+// there is none: one masked priority encoder over the words. O(words).
+func (v *Vec) MaxAnd(m *Vec) int { return v.maxMasked(m, 0) }
+
+// MaxAndNot returns the highest identity set in v and clear in m, or -1
+// if there is none. O(words).
+func (v *Vec) MaxAndNot(m *Vec) int { return v.maxMasked(m, ^uint64(0)) }
+
+// maxMasked is the highest identity set in v and in m's words XOR flip.
+// v never holds bit 0 or bits above n, so flipping m cannot add them.
+func (v *Vec) maxMasked(m *Vec, flip uint64) int {
+	if v.n != m.n {
+		panic(fmt.Sprintf("bitarb: mask size mismatch: %d != %d", v.n, m.n))
+	}
+	for wi := len(v.w) - 1; wi >= 0; wi-- {
+		if w := v.w[wi] & (m.w[wi] ^ flip); w != 0 {
+			return wi*wordBits + bits.Len64(w) - 1
+		}
+	}
+	return -1
+}
+
 // Planes stores one arbitration number per identity as bit-planes:
 // plane b holds, for every identity, bit b of its number. A contention
 // pass over a request bitmap is then a tournament from the most
@@ -304,166 +329,4 @@ func (p *Planes) Resolve(req *Vec) (winner int, number uint64) {
 		return -1, 0
 	}
 	return top, win
-}
-
-// Counters holds one saturating counter per identity as bit-planes:
-// FCFS1's waiting-time counters (§3.2), maintained word-parallel.
-type Counters struct {
-	n     int
-	cbits int
-	plane [][]uint64
-	cand  []uint64 // tournament scratch
-	carry []uint64 // increment scratch
-}
-
-// NewCounters returns zeroed counters of the given bit width (1..63)
-// for identities 1..n.
-//
-//arblint:alloc constructor: one counter bank per arbiter, at setup
-func NewCounters(cbits, n int) *Counters {
-	if cbits < 1 || cbits > 63 {
-		panic(fmt.Sprintf("bitarb: counter width %d out of range 1..63", cbits))
-	}
-	if n < 1 {
-		panic(fmt.Sprintf("bitarb: Counters need at least 1 identity, got %d", n))
-	}
-	c := &Counters{
-		n:     n,
-		cbits: cbits,
-		cand:  make([]uint64, wordsFor(n)),
-		carry: make([]uint64, wordsFor(n)),
-	}
-	c.plane = make([][]uint64, cbits)
-	for b := range c.plane {
-		c.plane[b] = make([]uint64, wordsFor(n))
-	}
-	return c
-}
-
-// Bits returns the counter width.
-func (c *Counters) Bits() int { return c.cbits }
-
-// Max returns the largest representable count, 2^bits-1, at which the
-// counters saturate (§3.2's bounded counter; a wrap would invert the
-// service order).
-func (c *Counters) Max() int { return 1<<uint(c.cbits) - 1 }
-
-// Get returns identity i's counter value.
-func (c *Counters) Get(i int) int {
-	if i < 1 || i > c.n {
-		panic(fmt.Sprintf("bitarb: identity %d out of range 1..%d", i, c.n))
-	}
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	v := 0
-	for b := 0; b < c.cbits; b++ {
-		if c.plane[b][wi]&bit != 0 {
-			v |= 1 << uint(b)
-		}
-	}
-	return v
-}
-
-// Zero clears identity i's counter (a new request, or a win).
-func (c *Counters) Zero(i int) {
-	if i < 1 || i > c.n {
-		panic(fmt.Sprintf("bitarb: identity %d out of range 1..%d", i, c.n))
-	}
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	for b := 0; b < c.cbits; b++ {
-		c.plane[b][wi] &^= bit
-	}
-}
-
-// Reset clears every counter.
-func (c *Counters) Reset() {
-	for b := range c.plane {
-		row := c.plane[b]
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}
-
-// Inc increments the counter of every identity in mask, saturating at
-// Max: the word-parallel form of "each waiting agent increments its
-// counter" (§3.2), one ripple-carry add over the bit-planes. Cost is
-// O(bits · words) regardless of how many agents increment.
-func (c *Counters) Inc(mask *Vec) {
-	copy(c.carry, mask.w)
-	c.rippleAdd(c.carry)
-}
-
-// rippleAdd adds 1 to every counter whose bit is set in carry,
-// saturating at Max. carry is clobbered.
-func (c *Counters) rippleAdd(carry []uint64) {
-	// Saturated counters (all planes set) are excluded up front, so the
-	// add cannot wrap them to zero.
-	for wi, cw := range carry {
-		if cw == 0 {
-			continue
-		}
-		sat := ^uint64(0)
-		for b := range c.plane {
-			sat &= c.plane[b][wi]
-		}
-		carry[wi] = cw &^ sat
-	}
-	for b := 0; b < c.cbits; b++ {
-		row := c.plane[b]
-		done := true
-		for wi, cw := range carry {
-			if cw == 0 {
-				continue
-			}
-			old := row[wi]
-			row[wi] = old ^ cw
-			carry[wi] = old & cw
-			if carry[wi] != 0 {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-	}
-}
-
-// MaxIn returns the identity in req whose (counter, identity) pair is
-// largest — the FCFS contention pass, where the counter field sits
-// above the static identity in the arbitration number (§3.2) — or -1
-// if req is empty. Cost is O(bits · words).
-func (c *Counters) MaxIn(req *Vec) int {
-	if req.n != c.n {
-		panic(fmt.Sprintf("bitarb: MaxIn size mismatch: %d != %d", req.n, c.n))
-	}
-	cand := c.cand
-	copy(cand, req.w)
-	for b := c.cbits - 1; b >= 0; b-- {
-		row := c.plane[b]
-		var any uint64
-		for wi, cw := range cand {
-			any |= cw & row[wi]
-		}
-		if any != 0 {
-			for wi := range cand {
-				cand[wi] &= row[wi]
-			}
-		}
-	}
-	for wi := len(cand) - 1; wi >= 0; wi-- {
-		if cand[wi] != 0 {
-			return wi*wordBits + bits.Len64(cand[wi]) - 1
-		}
-	}
-	return -1
-}
-
-// Clone returns a deep copy (verification hook, mirroring the core
-// protocols' Clone support).
-func (c *Counters) Clone() *Counters {
-	d := NewCounters(c.cbits, c.n)
-	for b := range c.plane {
-		copy(d.plane[b], c.plane[b])
-	}
-	return d
 }

@@ -45,8 +45,10 @@ func TestVecMaxAndMaxBelow(t *testing.T) {
 		if v.Max() != -1 || v.MaxBelow(n+1) != -1 {
 			t.Fatalf("n=%d: empty vec Max = %d", n, v.Max())
 		}
-		// Reference: a plain bool slice scanned the slow way.
-		ref := make([]bool, n+1)
+		// Reference: plain bool slices scanned the slow way; m is the
+		// mask MaxAnd and MaxAndNot apply.
+		ref, mref := make([]bool, n+1), make([]bool, n+1)
+		m := NewVec(n)
 		src := rng.New(uint64(n)*31 + 7)
 		for step := 0; step < 200; step++ {
 			i := 1 + src.Intn(n)
@@ -56,6 +58,28 @@ func TestVecMaxAndMaxBelow(t *testing.T) {
 			} else {
 				v.Set(i)
 				ref[i] = true
+			}
+			if i := 1 + src.Intn(n); mref[i] {
+				m.Clear(i)
+				mref[i] = false
+			} else {
+				m.Set(i)
+				mref[i] = true
+			}
+			wantAnd, wantAndNot := -1, -1
+			for j := n; j >= 1; j-- {
+				if ref[j] && mref[j] && wantAnd < 0 {
+					wantAnd = j
+				}
+				if ref[j] && !mref[j] && wantAndNot < 0 {
+					wantAndNot = j
+				}
+			}
+			if got := v.MaxAnd(m); got != wantAnd {
+				t.Fatalf("n=%d step=%d: MaxAnd = %d, want %d", n, step, got, wantAnd)
+			}
+			if got := v.MaxAndNot(m); got != wantAndNot {
+				t.Fatalf("n=%d step=%d: MaxAndNot = %d, want %d", n, step, got, wantAndNot)
 			}
 			limit := 1 + src.Intn(n+2)
 			want := -1
@@ -121,6 +145,7 @@ func TestVecPanics(t *testing.T) {
 	mustPanic("Clear(-1)", func() { v.Clear(-1) })
 	mustPanic("Test(9)", func() { v.Test(9) })
 	mustPanic("CopyFrom mismatch", func() { v.CopyFrom(NewVec(9)) })
+	mustPanic("MaxAnd mismatch", func() { v.MaxAnd(NewVec(9)) })
 }
 
 func TestVecCloneAndCopy(t *testing.T) {
@@ -218,115 +243,6 @@ func TestPlanesPanics(t *testing.T) {
 	mustPanic("Resolve mismatch", func() { p.Resolve(NewVec(5)) })
 }
 
-// TestCountersIncAndGet cross-checks the word-parallel ripple increment
-// against a plain int-slice model, including saturation.
-func TestCountersIncAndGet(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 130} {
-		for _, cb := range []int{1, 3, 6} {
-			c := NewCounters(cb, n)
-			ref := make([]int, n+1)
-			mask := NewVec(n)
-			src := rng.New(uint64(n*10 + cb))
-			for step := 0; step < 120; step++ {
-				mask.Reset()
-				for i := 1; i <= n; i++ {
-					if src.Intn(2) == 0 {
-						mask.Set(i)
-						if ref[i] < c.Max() {
-							ref[i]++
-						}
-					}
-				}
-				c.Inc(mask)
-				if src.Intn(4) == 0 {
-					i := 1 + src.Intn(n)
-					c.Zero(i)
-					ref[i] = 0
-				}
-				for i := 1; i <= n; i++ {
-					if got := c.Get(i); got != ref[i] {
-						t.Fatalf("n=%d cb=%d step=%d: Get(%d) = %d, want %d", n, cb, step, i, got, ref[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCountersMaxIn cross-checks the (counter, identity) tournament
-// against a naive scan.
-func TestCountersMaxIn(t *testing.T) {
-	for _, n := range []int{1, 64, 65, 150} {
-		c := NewCounters(4, n)
-		req := NewVec(n)
-		ref := make([]int, n+1)
-		src := rng.New(uint64(n) + 5)
-		if c.MaxIn(req) != -1 {
-			t.Fatalf("n=%d: MaxIn on empty req != -1", n)
-		}
-		mask := NewVec(n)
-		for step := 0; step < 100; step++ {
-			mask.Reset()
-			for i := 1; i <= n; i++ {
-				if src.Intn(3) == 0 {
-					mask.Set(i)
-					if ref[i] < c.Max() {
-						ref[i]++
-					}
-				}
-			}
-			c.Inc(mask)
-			req.Reset()
-			want := -1
-			for i := 1; i <= n; i++ {
-				if src.Intn(2) == 0 {
-					req.Set(i)
-					if want < 0 || ref[i] > ref[want] || (ref[i] == ref[want] && i > want) {
-						want = i
-					}
-				}
-			}
-			if got := c.MaxIn(req); got != want {
-				t.Fatalf("n=%d step=%d: MaxIn = %d, want %d", n, step, got, want)
-			}
-		}
-	}
-}
-
-func TestCountersClone(t *testing.T) {
-	c := NewCounters(3, 66)
-	m := NewVec(66)
-	m.Set(65)
-	m.Set(2)
-	c.Inc(m)
-	d := c.Clone()
-	c.Inc(m)
-	if d.Get(65) != 1 || d.Get(2) != 1 {
-		t.Error("Clone shares planes with original")
-	}
-	c.Reset()
-	if c.Get(65) != 0 || d.Get(65) != 1 {
-		t.Error("Reset leaked into clone")
-	}
-}
-
-func TestCountersPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("width 0", func() { NewCounters(0, 4) })
-	mustPanic("width 64", func() { NewCounters(64, 4) })
-	c := NewCounters(2, 4)
-	mustPanic("Get(0)", func() { c.Get(0) })
-	mustPanic("Zero(5)", func() { c.Zero(5) })
-	mustPanic("MaxIn mismatch", func() { c.MaxIn(NewVec(5)) })
-}
 func TestVecAppendIDs(t *testing.T) {
 	for _, n := range boundaryNs {
 		v := NewVec(n)
@@ -381,8 +297,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	const n = 200
 	v := NewVec(n)
 	p := NewPlanes(12, n)
-	c := NewCounters(8, n)
 	a := NewArrivals(8, n)
+	f := NewArrivals(8, n)
 	for i := 1; i <= n; i += 3 {
 		v.Set(i)
 		p.Store(i, uint64(i))
@@ -391,11 +307,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	work := func() {
 		v.Max()
 		v.MaxBelow(77)
+		v.MaxAnd(v)
+		v.MaxAndNot(v)
 		v.CopyFrom(v)
 		p.Resolve(v)
-		c.Inc(v)
-		c.MaxIn(v)
-		c.Zero(1)
 		// Enough pulses per run to fill the arrival ring and compact it.
 		for k := 0; k < 3*n; k++ {
 			id = id%n + 1
@@ -406,6 +321,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		a.MaxIn(v)
 		a.Get(1)
+		// FCFS1's arbitration, with a dropped agent coming back at a
+		// frozen counter (the slow path) every few rounds.
+		for k := 0; k < 3*n; k++ {
+			if k%16 == 5 {
+				v.Clear(4)
+			}
+			f.Follow(v)
+			w := f.MaxIn(v)
+			f.Tick(false)
+			f.Zero(w)
+			v.Set(4)
+		}
 	}
 	work()
 	if allocs := testing.AllocsPerRun(100, work); allocs != 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"busarb/internal/bitarb"
-	"busarb/internal/ident"
-)
+import "busarb/internal/bitarb"
 
 // The two assured access protocols of §2.2 — the fairness mechanisms
 // the 1980s bus standards actually shipped, and the baselines whose
@@ -19,24 +16,23 @@ import (
 // at that moment forms the next batch. Within a batch, service order is
 // descending static identity (the raw contention arbitration), which is
 // what makes the protocol unfair.
+//
+// The batch and the requests pending for the next one are two bitmaps:
+// a grant is one masked maximum over the request lines, and a batch
+// boundary swaps the bitmaps, so nothing scans the N agents.
 type AAP1 struct {
-	n       int
-	layout  ident.Layout
-	inBatch []bool
-	pending []bool
-	batchSz int
-	gen     int64
+	n              int
+	batch, pending bitarb.Vec
+	batchSz        int
+	gen            int64
 }
 
 // NewAAP1 returns the Fastbus/NuBus/Multibus II assured access protocol
 // for n agents.
 func NewAAP1(n int) *AAP1 {
-	return &AAP1{
-		n:       n,
-		layout:  ident.LayoutFor(n),
-		inBatch: make([]bool, n+1),
-		pending: make([]bool, n+1),
-	}
+	p := &AAP1{n: n}
+	bitarb.InitVecs(n, &p.batch, &p.pending)
+	return p
 }
 
 // Name implements Protocol.
@@ -46,7 +42,7 @@ func (p *AAP1) Name() string { return "AAP1" }
 func (p *AAP1) N() int { return p.n }
 
 // InBatch reports whether agent id is in the current batch (for tests).
-func (p *AAP1) InBatch(id int) bool { return p.inBatch[id] }
+func (p *AAP1) InBatch(id int) bool { return p.batch.Test(id) }
 
 // BatchGen returns a counter that increments each time a new batch
 // forms, for tests and trace output.
@@ -57,44 +53,37 @@ func (p *AAP1) BatchGen() int64 { return p.gen }
 // batch boundary.
 func (p *AAP1) OnRequest(id int, _ float64) {
 	if p.batchSz == 0 {
-		p.inBatch[id] = true
+		p.batch.Set(id)
 		p.batchSz = 1
 		p.gen++
 		return
 	}
-	p.pending[id] = true
+	p.pending.Set(id)
 }
 
 // OnServiceStart implements Protocol: the new master releases the
 // request line; if it was the last batch member, the line drops and all
 // pending requests form the next batch.
 func (p *AAP1) OnServiceStart(id int, _ float64) {
-	if !p.inBatch[id] {
+	if !p.batch.Test(id) {
 		return
 	}
-	p.inBatch[id] = false
-	p.batchSz--
-	if p.batchSz == 0 {
-		for a := 1; a <= p.n; a++ {
-			if p.pending[a] {
-				p.pending[a] = false
-				p.inBatch[a] = true
-				p.batchSz++
-			}
-		}
-		if p.batchSz > 0 {
-			p.gen++
-		}
+	p.batch.Clear(id)
+	if p.batchSz--; p.batchSz > 0 {
+		return
+	}
+	// The batch is empty, so the swap leaves pending empty.
+	p.batch, p.pending = p.pending, p.batch
+	if p.batchSz = p.batch.Count(); p.batchSz > 0 {
+		p.gen++
 	}
 }
 
 // Arbitrate implements Protocol: batch members compete on static
-// identity.
+// identity, so the winner is the highest request in the batch.
 func (p *AAP1) Arbitrate(waiting *bitarb.Vec) Outcome {
-	w := contend(waiting, func(id int) (uint64, bool) {
-		return p.layout.Encode(ident.Number{Static: id}), p.inBatch[id]
-	})
-	if w == 0 {
+	w := waiting.MaxAnd(&p.batch)
+	if w < 0 {
 		// Unreachable under the simulator's contract (a waiting agent is
 		// in the batch or pending, and the batch is non-empty whenever
 		// anyone waits), but arbitrating among all waiters is the safe
@@ -106,11 +95,10 @@ func (p *AAP1) Arbitrate(waiting *bitarb.Vec) Outcome {
 
 // Reset implements Protocol.
 func (p *AAP1) Reset() {
-	for i := range p.inBatch {
-		p.inBatch[i] = false
-		p.pending[i] = false
-	}
+	p.batch.Reset()
+	p.pending.Reset()
 	p.batchSz = 0
+	p.gen = 0
 }
 
 // AAP2 is the Futurebus assured access protocol: an agent competes in
@@ -120,22 +108,21 @@ func (p *AAP1) Reset() {
 // line (all outstanding requests inhibited, or none outstanding). Unlike
 // AAP1, a request generated mid-batch may join the current batch if its
 // agent has not yet been served in it.
+//
+// The inhibit flags and the outstanding requests are two bitmaps: a
+// grant is one masked maximum, the release test one masked maximum
+// over the two, and the release clears one bitmap.
 type AAP2 struct {
-	n         int
-	layout    ident.Layout
-	inhibited []bool
-	waiting   []bool
-	releases  int64
+	n                  int
+	inhibited, waiting bitarb.Vec
+	releases           int64
 }
 
 // NewAAP2 returns the Futurebus assured access protocol for n agents.
 func NewAAP2(n int) *AAP2 {
-	return &AAP2{
-		n:         n,
-		layout:    ident.LayoutFor(n),
-		inhibited: make([]bool, n+1),
-		waiting:   make([]bool, n+1),
-	}
+	p := &AAP2{n: n}
+	bitarb.InitVecs(n, &p.inhibited, &p.waiting)
+	return p
 }
 
 // Name implements Protocol.
@@ -145,14 +132,14 @@ func (p *AAP2) Name() string { return "AAP2" }
 func (p *AAP2) N() int { return p.n }
 
 // Inhibited reports whether agent id is inhibited (for tests).
-func (p *AAP2) Inhibited(id int) bool { return p.inhibited[id] }
+func (p *AAP2) Inhibited(id int) bool { return p.inhibited.Test(id) }
 
 // ReleaseGen returns a counter incremented on every fairness release,
 // for tests and trace output.
 func (p *AAP2) ReleaseGen() int64 { return p.releases }
 
 // OnRequest implements Protocol.
-func (p *AAP2) OnRequest(id int, _ float64) { p.waiting[id] = true }
+func (p *AAP2) OnRequest(id int, _ float64) { p.waiting.Set(id) }
 
 // OnServiceStart implements Protocol: the agent marks itself inhibited
 // at the end of its tenure; since an agent has at most one outstanding
@@ -162,32 +149,26 @@ func (p *AAP2) OnRequest(id int, _ float64) { p.waiting[id] = true }
 // "either there are no outstanding requests, or all agents with
 // outstanding requests are inhibited").
 func (p *AAP2) OnServiceStart(id int, _ float64) {
-	p.waiting[id] = false
-	p.inhibited[id] = true
-	for a := 1; a <= p.n; a++ {
-		if p.waiting[a] && !p.inhibited[a] {
-			return
-		}
+	p.waiting.Clear(id)
+	p.inhibited.Set(id)
+	if p.waiting.MaxAndNot(&p.inhibited) < 0 {
+		p.release()
 	}
-	p.release()
 }
 
 func (p *AAP2) release() {
-	for i := range p.inhibited {
-		p.inhibited[i] = false
-	}
+	p.inhibited.Reset()
 	p.releases++
 }
 
-// Arbitrate implements Protocol. The release normally fires in
-// OnServiceStart the moment the last active request is served; the
-// in-arbitration release here covers the remaining case of an inhibited
-// agent re-requesting before its flag cleared.
+// Arbitrate implements Protocol: the un-inhibited requests compete on
+// static identity. The release normally fires in OnServiceStart the
+// moment the last active request is served; the in-arbitration release
+// here covers the remaining case of an inhibited agent re-requesting
+// before its flag cleared.
 func (p *AAP2) Arbitrate(waiting *bitarb.Vec) Outcome {
-	w := contend(waiting, func(id int) (uint64, bool) {
-		return p.layout.Encode(ident.Number{Static: id}), !p.inhibited[id]
-	})
-	if w == 0 {
+	w := waiting.MaxAndNot(&p.inhibited)
+	if w < 0 {
 		// Every waiting agent is inhibited: a fairness release, after
 		// which they all compete.
 		p.release()
@@ -198,9 +179,7 @@ func (p *AAP2) Arbitrate(waiting *bitarb.Vec) Outcome {
 
 // Reset implements Protocol.
 func (p *AAP2) Reset() {
-	for i := range p.inhibited {
-		p.inhibited[i] = false
-		p.waiting[i] = false
-	}
+	p.inhibited.Reset()
+	p.waiting.Reset()
 	p.releases = 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"busarb/internal/bitarb"
 	"busarb/internal/rng"
 )
 
@@ -259,3 +260,196 @@ func TestAAPNames(t *testing.T) {
 		t.Error("N wrong")
 	}
 }
+
+// aapModel is the assured access protocols as they were kept before
+// they moved onto bitmaps: bool slices scanned agent by agent, and
+// every competitor's static identity compared in turn. It is the
+// reference the bitmap forms are checked against.
+type aapModel struct {
+	aap2      bool
+	n         int
+	inBatch   []bool // AAP1
+	pending   []bool // AAP1
+	batchSz   int    // AAP1
+	gen       int64  // AAP1 batches, AAP2 releases
+	inhibited []bool // AAP2
+	waiting   []bool // AAP2
+}
+
+func newAAPModel(aap2 bool, n int) *aapModel {
+	return &aapModel{aap2: aap2, n: n, inBatch: make([]bool, n+1), pending: make([]bool, n+1),
+		inhibited: make([]bool, n+1), waiting: make([]bool, n+1)}
+}
+
+func (m *aapModel) request(id int) {
+	switch {
+	case m.aap2:
+		m.waiting[id] = true
+	case m.batchSz == 0:
+		m.inBatch[id] = true
+		m.batchSz = 1
+		m.gen++
+	default:
+		m.pending[id] = true
+	}
+}
+
+func (m *aapModel) release() {
+	clear(m.inhibited)
+	m.gen++
+}
+
+func (m *aapModel) serviceStart(id int) {
+	if m.aap2 {
+		m.waiting[id] = false
+		m.inhibited[id] = true
+		for a := 1; a <= m.n; a++ {
+			if m.waiting[a] && !m.inhibited[a] {
+				return
+			}
+		}
+		m.release()
+		return
+	}
+	if !m.inBatch[id] {
+		return
+	}
+	m.inBatch[id] = false
+	m.batchSz--
+	if m.batchSz == 0 {
+		for a := 1; a <= m.n; a++ {
+			if m.pending[a] {
+				m.pending[a] = false
+				m.inBatch[a] = true
+				m.batchSz++
+			}
+		}
+		if m.batchSz > 0 {
+			m.gen++
+		}
+	}
+}
+
+// arbitrate is the highest competing identity in req: batch members
+// for AAP1, un-inhibited agents for AAP2; with none, AAP2 releases and
+// both fall back to the highest identity in req.
+func (m *aapModel) arbitrate(req []bool) int {
+	w := 0
+	for id := 1; id <= m.n; id++ {
+		if req[id] && (m.aap2 && !m.inhibited[id] || !m.aap2 && m.inBatch[id]) {
+			w = id
+		}
+	}
+	if w == 0 {
+		if m.aap2 {
+			m.release()
+		}
+		for id := 1; id <= m.n; id++ {
+			if req[id] {
+				w = id
+			}
+		}
+	}
+	return w
+}
+
+// TestAAPMatchesModel drives AAP1 and AAP2 and the bool-slice model
+// through the same random operations at every word-boundary shape:
+// requests (some by agents already requesting), arbitrations over the
+// requesting set, a subset of it or any subset of identities, service
+// starts of the winner (and now and then of any agent), and Reset.
+// After every step the winner, each agent's InBatch or Inhibited flag
+// and BatchGen or ReleaseGen must agree.
+func TestAAPMatchesModel(t *testing.T) {
+	for _, aap2 := range []bool{false, true} {
+		for _, n := range []int{1, 2, 5, 63, 64, 65, 130, 1024} {
+			var p interface {
+				Protocol
+				flag(id int) bool
+				gen() int64
+			}
+			if aap2 {
+				p = aap2Regs{NewAAP2(n)}
+			} else {
+				p = aap1Regs{NewAAP1(n)}
+			}
+			m := newAAPModel(aap2, n)
+			src := rng.New(uint64(n))
+			req := bitarb.NewVec(n)
+			in := make([]bool, n+1)
+			requesting := make([]bool, n+1)
+			steps := 3000
+			if n == 1024 {
+				steps = 600
+			}
+			for step := 0; step < steps; step++ {
+				switch op := src.Intn(20); {
+				case op < 9:
+					id := 1 + src.Intn(n)
+					requesting[id] = true
+					p.OnRequest(id, float64(step))
+					m.request(id)
+				case op < 18:
+					req.Reset()
+					clear(in)
+					mode := src.Intn(5)
+					for id := 1; id <= n; id++ {
+						if mode <= 2 && requesting[id] && (mode < 2 || src.Intn(2) == 0) ||
+							mode == 3 && src.Intn(2) == 0 {
+							req.Set(id)
+							in[id] = true
+						}
+					}
+					if !req.Any() {
+						id := 1 + src.Intn(n)
+						req.Set(id)
+						in[id] = true
+					}
+					got, want := p.Arbitrate(req).Winner, m.arbitrate(in)
+					if got != want {
+						t.Fatalf("%s n=%d step %d: winner over %v = %d, want %d", p.Name(), n, step, req.AppendIDs(nil), got, want)
+					}
+					if src.Intn(8) == 0 {
+						got = 1 + src.Intn(n)
+					}
+					requesting[got] = false
+					p.OnServiceStart(got, float64(step))
+					m.serviceStart(got)
+				case op == 18:
+					p.Reset()
+					*m = *newAAPModel(aap2, n)
+					clear(requesting)
+				default:
+					// Service starts of agents that never requested.
+					id := 1 + src.Intn(n)
+					p.OnServiceStart(id, float64(step))
+					m.serviceStart(id)
+				}
+				for id := 1; id <= n; id++ {
+					want := m.inBatch[id]
+					if aap2 {
+						want = m.inhibited[id]
+					}
+					if got := p.flag(id); got != want {
+						t.Fatalf("%s n=%d step %d: flag(%d) = %v, want %v", p.Name(), n, step, id, got, want)
+					}
+				}
+				if got := p.gen(); got != m.gen {
+					t.Fatalf("%s n=%d step %d: generation = %d, want %d", p.Name(), n, step, got, m.gen)
+				}
+			}
+		}
+	}
+}
+
+// aap1Regs and aap2Regs give the two protocols one face for
+// TestAAPMatchesModel: the per-agent flag and the generation counter.
+type aap1Regs struct{ *AAP1 }
+
+func (p aap1Regs) flag(id int) bool { return p.InBatch(id) }
+func (p aap1Regs) gen() int64       { return p.BatchGen() }
+
+type aap2Regs struct{ *AAP2 }
+
+func (p aap2Regs) flag(id int) bool { return p.Inhibited(id) }
+func (p aap2Regs) gen() int64       { return p.ReleaseGen() }

@@ -5,6 +5,8 @@ package core
 // branch without replaying histories. These are verification hooks, not
 // part of the scheduling semantics.
 
+import "busarb/internal/bitarb"
+
 // SetLastWinner overwrites the winner register (verification hook).
 func (p *RR1) SetLastWinner(w int) { p.lastWinner = w }
 
@@ -31,16 +33,18 @@ func (p *FCFS2) Clone() *FCFS2 {
 // Clone returns a deep copy (verification hook).
 func (p *AAP1) Clone() *AAP1 {
 	c := *p
-	c.inBatch = append([]bool(nil), p.inBatch...)
-	c.pending = append([]bool(nil), p.pending...)
+	bitarb.InitVecs(p.n, &c.batch, &c.pending)
+	c.batch.CopyFrom(&p.batch)
+	c.pending.CopyFrom(&p.pending)
 	return &c
 }
 
 // Clone returns a deep copy (verification hook).
 func (p *AAP2) Clone() *AAP2 {
 	c := *p
-	c.inhibited = append([]bool(nil), p.inhibited...)
-	c.waiting = append([]bool(nil), p.waiting...)
+	bitarb.InitVecs(p.n, &c.inhibited, &c.waiting)
+	c.inhibited.CopyFrom(&p.inhibited)
+	c.waiting.CopyFrom(&p.waiting)
 	return &c
 }
 

@@ -31,14 +31,14 @@ import (
 // count wraps to 0, inverting the service order (see
 // TestFCFS1NarrowCounterSaturationPreservesSeniority).
 type FCFS1 struct {
-	n       int
-	layout  ident.Layout
-	modulus int
-	// The counters live as kernel bit-planes (bitarb.Counters): the
-	// per-arbitration lose increment is one word-parallel saturating
-	// add over the waiting bitmap, and the winner selection is the
-	// (counter, identity) plane tournament MaxIn.
-	ctr *bitarb.Counters
+	n     int
+	cbits int
+	// The counters follow from the order in which agents joined the
+	// request lines (bitarb.Arrivals, as FCFS2's follow from a-incr
+	// pulses): agents that first request together share a window, and
+	// every lost arbitration is one pulse, so the lose step costs
+	// O(words) plus O(1) per newcomer instead of touching every counter.
+	ctr *bitarb.Arrivals
 }
 
 // NewFCFS1 returns the lose-counting FCFS implementation for n agents.
@@ -54,20 +54,15 @@ func NewFCFS1Bits(n, counterBits int) *FCFS1 {
 	if counterBits < 1 {
 		panic(fmt.Sprintf("core: FCFS1 needs at least 1 counter bit, got %d", counterBits))
 	}
-	return &FCFS1{
-		n:       n,
-		layout:  ident.Layout{StaticBits: ident.Width(n), CounterBits: counterBits},
-		modulus: 1 << counterBits,
-		ctr:     bitarb.NewCounters(counterBits, n),
-	}
+	return &FCFS1{n: n, cbits: counterBits, ctr: bitarb.NewArrivals(counterBits, n)}
 }
 
 // Name implements Protocol.
 func (p *FCFS1) Name() string {
-	if p.modulus == 1<<ident.Width(p.n) {
+	if p.cbits == ident.Width(p.n) {
 		return "FCFS1"
 	}
-	return fmt.Sprintf("FCFS1/%db", p.layout.CounterBits)
+	return fmt.Sprintf("FCFS1/%db", p.cbits)
 }
 
 // N implements Protocol.
@@ -83,16 +78,17 @@ func (p *FCFS1) OnRequest(id int, _ float64) { p.ctr.Zero(id) }
 func (p *FCFS1) OnServiceStart(int, float64) {}
 
 // Arbitrate implements Protocol. The composite number is (counter,
-// static identity) lexicographically — exactly the kernel's counter
-// bit-plane tournament (MaxIn, ties toward higher identity). The lose
-// increment is one saturating word-parallel add over the request
-// lines; the winner's counter is then reset, so including it in the
-// add changes nothing.
+// static identity) lexicographically, so the winner is the (counter,
+// identity) maximum over the request lines (MaxIn, ties toward the
+// higher identity). The lines first become the counting set: agents
+// requesting for the first time since their counter was zeroed join
+// at 0, together. Then every agent on the lines loses one arbitration
+// (one Tick, saturating at the field's maximum) and the winner's
+// counter resets, so counting it too changes nothing.
 func (p *FCFS1) Arbitrate(waiting *bitarb.Vec) Outcome {
+	p.ctr.Follow(waiting)
 	w := p.ctr.MaxIn(waiting)
-	// "Lose" increments (saturating at the field's maximum); "win"
-	// resets.
-	p.ctr.Inc(waiting)
+	p.ctr.Tick(false)
 	p.ctr.Zero(w)
 	return Outcome{Winner: w}
 }

@@ -11,7 +11,7 @@ import (
 // (TestSteadyStateAllocs pins 0, allocfree proves it); ReportAllocs
 // keeps the trajectory honest in BENCH_*.json.
 func BenchmarkGrantResolve(b *testing.B) {
-	for _, name := range []string{"FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
+	for _, name := range []string{"AAP1", "AAP2", "FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
 		for _, n := range []int{8, 32, 64, 1024, 4096} {
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				bus := newBus(b, name, n)
