@@ -329,14 +329,3 @@ func (a *Arrivals) Reset() {
 	clear(a.stamp)
 	a.q, a.head, a.tail, a.open = 0, 0, 0, 0
 }
-
-// Clone returns a deep copy (verification hook).
-func (a *Arrivals) Clone() *Arrivals {
-	c := NewArrivals(a.cbits, a.n)
-	copy(c.wait.w, a.wait.w)
-	copy(c.stamp, a.stamp)
-	copy(c.pos, a.pos)
-	copy(c.ring[a.head:a.tail], a.ring[a.head:a.tail])
-	c.q, c.head, c.tail, c.open = a.q, a.head, a.tail, a.open
-	return c
-}

@@ -27,7 +27,11 @@
 //     (Pulse); FCFS1 counts each arbitration against the request lines
 //     (Follow, Tick, Zero). A pulse costs O(1) amortized, a lose step
 //     O(words) plus O(1) per newcomer, and the winner comes off the
-//     oldest arrivals in O(words + run).
+//     oldest arrivals in O(words + run). Observably it is a bank of
+//     counters plus a waiting set, so the counters (Get) and the
+//     waiting set are all of its state that decides a winner: that is
+//     how core encodes FCFS1 and FCFS2 for the exhaustive verifier,
+//     which replays histories instead of copying state.
 //
 // Identities are 1..n (identity 0 is reserved to mean "no competitor",
 // §2.1); bit i of the word row carries agent i, so bit 0 is never set.
@@ -141,13 +145,6 @@ func (v *Vec) CopyFrom(o *Vec) {
 		panic(fmt.Sprintf("bitarb: CopyFrom size mismatch: %d != %d", v.n, o.n))
 	}
 	copy(v.w, o.w)
-}
-
-// Clone returns a deep copy.
-func (v *Vec) Clone() *Vec {
-	c := NewVec(v.n)
-	copy(c.w, v.w)
-	return c
 }
 
 // AppendIDs appends the set identities to dst in ascending order and

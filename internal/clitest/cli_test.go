@@ -91,6 +91,7 @@ func TestCLIFailurePathsExitNonZero(t *testing.T) {
 		{"arbverify unknown protocol", "arbverify", []string{"-protocol", "BOGUS"}, "", 1, "unknown protocol"},
 		{"arbverify too few agents", "arbverify", []string{"-n", "1"}, "", 1, "at least 2 agents"},
 		{"arbverify refuted bound", "arbverify", []string{"-protocol", "FP", "-n", "3", "-bound", "2"}, "", 1, ""},
+		{"arbverify negative bound", "arbverify", []string{"-bound", "-1"}, "", 1, "must not be negative"},
 		{"benchjson empty stdin", "benchjson", nil, " ", 1, "no benchmark lines"},
 		{"benchjson malformed input", "benchjson", nil, "BenchmarkX abc 5 ns/op\n", 1, "bad iteration count"},
 		{"benchjson compare wants two args", "benchjson", []string{"-compare", "only.json"}, "", 1, "exactly two arguments"},
@@ -452,6 +453,8 @@ func TestCLISuccessPathsExitZero(t *testing.T) {
 		{"arbtrace RR2 line-level", "arbtrace", []string{"-protocol", "RR2", "-ticks", "10"}, ""},
 		{"arbtrace topology hops", "arbtrace", []string{"-topo", "4x2:RR1/FCFS2", "-ticks", "20"}, ""},
 		{"arbverify RR1 small", "arbverify", []string{"-protocol", "RR1", "-n", "3"}, ""},
+		{"arbverify Ticket small", "arbverify", []string{"-protocol", "Ticket", "-n", "3"}, ""},
+		{"arbverify Hybrid small", "arbverify", []string{"-protocol", "Hybrid", "-n", "3"}, ""},
 		{"arbverify cross RR2", "arbverify", []string{"-cross", "-protocol", "RR2", "-n", "4", "-trials", "3", "-ticks", "100"}, ""},
 		{"paper tiny table", "paper", []string{"-table", "4.5", "-sizes", "5", "-batches", "2", "-batchsize", "100"}, ""},
 		{"benchjson parses bench output", "benchjson", []string{"-date", "2026-08-06"},

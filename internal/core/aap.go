@@ -101,6 +101,12 @@ func (p *AAP1) Reset() {
 	p.gen = 0
 }
 
+// AppendState implements Protocol: the batch and pending bitmaps. The
+// batch size is the batch's count, and the generation a statistic.
+func (p *AAP1) AppendState(dst []byte) []byte {
+	return appendVec(appendVec(dst, &p.batch), &p.pending)
+}
+
 // AAP2 is the Futurebus assured access protocol: an agent competes in
 // successive arbitrations until served, then marks itself "inhibited"
 // and neither asserts the request line nor competes until a fairness
@@ -182,4 +188,10 @@ func (p *AAP2) Reset() {
 	p.inhibited.Reset()
 	p.waiting.Reset()
 	p.releases = 0
+}
+
+// AppendState implements Protocol: the inhibit and request bitmaps.
+// The release count is a statistic.
+func (p *AAP2) AppendState(dst []byte) []byte {
+	return appendVec(appendVec(dst, &p.inhibited), &p.waiting)
 }

@@ -96,6 +96,20 @@ func (p *FCFS1) Arbitrate(waiting *bitarb.Vec) Outcome {
 // Reset implements Protocol.
 func (p *FCFS1) Reset() { p.ctr.Reset() }
 
+// AppendState implements Protocol: every agent's counter.
+func (p *FCFS1) AppendState(dst []byte) []byte { return appendCounters(dst, p.ctr, p.n) }
+
+// appendCounters appends the counter of each identity 1..n, the stale
+// one of an agent that does not wait included: the counter registers
+// of both FCFS variants. With the waiting set they decide every
+// winner, so Arrivals' arrival order is left out.
+func appendCounters(dst []byte, c *bitarb.Arrivals, n int) []byte {
+	for id := 1; id <= n; id++ {
+		dst = appendUint(dst, c.Get(id))
+	}
+	return dst
+}
+
 // FCFS2 is the more accurate counting strategy: an extra wired-OR line,
 // a-incr, is pulsed by an agent when it generates a new request, and
 // every waiting agent increments its counter on each pulse. The counter
@@ -155,6 +169,10 @@ func (p *FCFS2) Reset() {
 	p.hasLast = false
 	p.lastT = 0
 }
+
+// AppendState implements Protocol: every agent's counter. The time of
+// the last pulse only matters to a request at that same instant.
+func (p *FCFS2) AppendState(dst []byte) []byte { return appendCounters(dst, p.ctr, p.n) }
 
 // Hybrid is the §5 "further research" combination: round-robin order
 // among requests that arrive in the same counting interval, FCFS across
@@ -230,4 +248,11 @@ func (p *Hybrid) Reset() {
 	p.lastWinner = 0
 	p.hasLast = false
 	p.lastT = 0
+}
+
+// AppendState implements Protocol: the winner register, then every
+// agent's counter and waiting flag.
+func (p *Hybrid) AppendState(dst []byte) []byte {
+	dst = appendUint(dst, p.lastWinner)
+	return appendFlags(appendInts(dst, p.counter), p.waiting)
 }

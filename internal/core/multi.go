@@ -111,3 +111,15 @@ func (p *MultiFCFS) Reset() {
 		p.queues[i] = nil
 	}
 }
+
+// AppendState implements Protocol: every agent's queue, as its length
+// and then its counters, oldest first.
+func (p *MultiFCFS) AppendState(dst []byte) []byte {
+	for _, q := range p.queues[1:] {
+		dst = appendUint(dst, len(q))
+		for _, c := range q {
+			dst = appendUint(dst, c)
+		}
+	}
+	return dst
+}

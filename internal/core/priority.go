@@ -99,6 +99,12 @@ func (p *PriorityRR) Reset() {
 	}
 }
 
+// AppendState implements Protocol: the winner register and every
+// agent's class.
+func (p *PriorityRR) AppendState(dst []byte) []byte {
+	return appendFlags(appendUint(dst, p.lastWinner), p.urgent)
+}
+
 // FCFSCounterPolicy selects how non-priority waiting-time counters react
 // to priority traffic in PriorityFCFS1 (§3.2 discusses three options).
 type FCFSCounterPolicy int
@@ -211,6 +217,12 @@ func (p *PriorityFCFS1) Reset() {
 	p.overflows = 0
 }
 
+// AppendState implements Protocol: every agent's counter and class.
+// The overflow count is a statistic.
+func (p *PriorityFCFS1) AppendState(dst []byte) []byte {
+	return appendFlags(appendInts(dst, p.counter), p.urgent)
+}
+
 // PriorityFCFS2 is FCFS2 with two increment lines, a-incr and
 // a-incr-priority (§3.2, third option): a waiting agent increments its
 // counter only when a new request of its own class arrives, so the
@@ -295,6 +307,12 @@ func (p *PriorityFCFS2) Reset() {
 	}
 	p.hasLast = [2]bool{}
 	p.lastT = [2]float64{}
+}
+
+// AppendState implements Protocol: every agent's counter, waiting flag
+// and class. The times of the last pulses are timestamps.
+func (p *PriorityFCFS2) AppendState(dst []byte) []byte {
+	return appendFlags(appendFlags(appendInts(dst, p.counter), p.waiting), p.urgent)
 }
 
 // Registry maps protocol names to factories, for CLIs and experiment

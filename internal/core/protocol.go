@@ -16,8 +16,9 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"busarb/internal/bitarb"
-	"busarb/internal/ident"
 )
 
 // Outcome is the result of one arbitration pass.
@@ -56,6 +57,14 @@ type Protocol interface {
 	Arbitrate(waiting *bitarb.Vec) Outcome
 	// Reset restores initial state.
 	Reset()
+	// AppendState appends a canonical encoding of the registers that
+	// decide future grants to dst and returns the extended slice. Two
+	// instances of one protocol whose encodings and waiting sets are
+	// equal grant identically, repasses included, under any common
+	// sequence of later calls whose times all come after every time
+	// either instance has seen. Statistics and timestamps are left
+	// out. internal/verify keys explored states by it.
+	AppendState(dst []byte) []byte
 }
 
 // Factory builds a protocol instance for an n-agent bus.
@@ -79,6 +88,39 @@ func contend(waiting *bitarb.Vec, number func(id int) (uint64, bool)) int {
 	return winner
 }
 
+// appendUint appends one register to a state encoding as a uvarint,
+// which keeps a sequence of registers self-delimiting.
+func appendUint(dst []byte, v int) []byte { return binary.AppendUvarint(dst, uint64(v)) }
+
+// appendInts appends the per-agent registers rs[1:] (index 0 is the
+// reserved identity).
+func appendInts(dst []byte, rs []int) []byte {
+	for _, r := range rs[1:] {
+		dst = appendUint(dst, r)
+	}
+	return dst
+}
+
+// appendFlags appends the per-agent flags fs[1:], one byte each.
+func appendFlags(dst []byte, fs []bool) []byte {
+	for _, f := range fs[1:] {
+		b := byte(0)
+		if f {
+			b = 1
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// appendVec appends a bitmap of per-agent flags, word by word.
+func appendVec(dst []byte, v *bitarb.Vec) []byte {
+	for _, w := range v.Words() {
+		dst = binary.AppendUvarint(dst, w)
+	}
+	return dst
+}
+
 // ---------------------------------------------------------------------
 // Fixed priority (the raw parallel contention arbiter, §2.1).
 
@@ -86,13 +128,12 @@ func contend(waiting *bitarb.Vec, number func(id int) (uint64, bool)) int {
 // competitors. It is maximally unfair under load and exists as the
 // baseline the assured access protocols (and the paper's protocols) fix.
 type FixedPriority struct {
-	n      int
-	layout ident.Layout
+	n int
 }
 
 // NewFixedPriority returns a fixed-priority protocol for n agents.
 func NewFixedPriority(n int) *FixedPriority {
-	return &FixedPriority{n: n, layout: ident.LayoutFor(n)}
+	return &FixedPriority{n: n}
 }
 
 // Name implements Protocol.
@@ -118,3 +159,6 @@ func (p *FixedPriority) Arbitrate(waiting *bitarb.Vec) Outcome {
 
 // Reset implements Protocol.
 func (p *FixedPriority) Reset() {}
+
+// AppendState implements Protocol: fixed priority keeps no state.
+func (p *FixedPriority) AppendState(dst []byte) []byte { return dst }

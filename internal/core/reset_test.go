@@ -7,11 +7,11 @@ import (
 	"busarb/internal/rng"
 )
 
-// registers lists the exported registers p's type has — BatchGen,
-// ReleaseGen, LastWinner and every agent's Counter — for comparing two
-// instances.
+// registers lists p's state encoding and the exported registers p's
+// type has — BatchGen, ReleaseGen, LastWinner and every agent's
+// Counter — for comparing two instances.
 func registers(p Protocol) string {
-	s := ""
+	s := fmt.Sprintf("State=%x ", p.AppendState(nil))
 	if v, ok := p.(interface{ BatchGen() int64 }); ok {
 		s += fmt.Sprintf("BatchGen=%d ", v.BatchGen())
 	}

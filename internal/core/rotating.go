@@ -127,6 +127,10 @@ func (p *RotatingRR) Reset() {
 	p.Collisions = 0
 }
 
+// AppendState implements Protocol: every agent's rotation base. The
+// collision count is a statistic.
+func (p *RotatingRR) AppendState(dst []byte) []byte { return appendInts(dst, p.base) }
+
 var _ Protocol = (*RotatingRR)(nil)
 
 func init() {

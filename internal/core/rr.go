@@ -1,9 +1,6 @@
 package core
 
-import (
-	"busarb/internal/bitarb"
-	"busarb/internal/ident"
-)
+import "busarb/internal/bitarb"
 
 // The distributed round-robin protocol (§3.1). The scheduling rule,
 // common to all three implementations: if agent j won the previous
@@ -24,7 +21,6 @@ import (
 // register (last winner) and a comparator.
 type RR1 struct {
 	n          int
-	layout     ident.Layout
 	lastWinner int
 }
 
@@ -33,7 +29,7 @@ type RR1 struct {
 // degenerates to fixed priority — exactly what hardware with a cleared
 // winner register would do.
 func NewRR1(n int) *RR1 {
-	return &RR1{n: n, layout: ident.Layout{StaticBits: ident.Width(n), RRBit: true}}
+	return &RR1{n: n}
 }
 
 // Name implements Protocol.
@@ -45,6 +41,10 @@ func (p *RR1) N() int { return p.n }
 // LastWinner returns the recorded identity of the most recent winner
 // (every agent on the bus can observe this, §2.1).
 func (p *RR1) LastWinner() int { return p.lastWinner }
+
+// SetLastWinner overwrites the winner register: the fault the
+// robustness study injects.
+func (p *RR1) SetLastWinner(w int) { p.lastWinner = w }
 
 // OnRequest implements Protocol.
 func (p *RR1) OnRequest(int, float64) {}
@@ -70,6 +70,9 @@ func (p *RR1) Arbitrate(waiting *bitarb.Vec) Outcome {
 // Reset implements Protocol.
 func (p *RR1) Reset() { p.lastWinner = 0 }
 
+// AppendState implements Protocol: the winner register.
+func (p *RR1) AppendState(dst []byte) []byte { return appendUint(dst, p.lastWinner) }
+
 // RR2 is the second implementation: the extra line is a shared
 // "low-request" line instead. An agent requesting the bus asserts
 // low-request if its identity is below the previous winner's; when
@@ -79,13 +82,12 @@ func (p *RR1) Reset() { p.lastWinner = 0 }
 // wins.
 type RR2 struct {
 	n          int
-	layout     ident.Layout
 	lastWinner int
 }
 
 // NewRR2 returns the low-request-line implementation for n agents.
 func NewRR2(n int) *RR2 {
-	return &RR2{n: n, layout: ident.LayoutFor(n)}
+	return &RR2{n: n}
 }
 
 // Name implements Protocol.
@@ -120,6 +122,9 @@ func (p *RR2) Arbitrate(waiting *bitarb.Vec) Outcome {
 // Reset implements Protocol.
 func (p *RR2) Reset() { p.lastWinner = 0 }
 
+// AppendState implements Protocol: the winner register.
+func (p *RR2) AppendState(dst []byte) []byte { return appendUint(dst, p.lastWinner) }
+
 // RR3 is the third implementation: no extra line. Only agents with
 // identities below the previous winner compete; a winning identity of
 // zero (nobody competed) makes every agent record N+1 as the winner and
@@ -128,7 +133,6 @@ func (p *RR2) Reset() { p.lastWinner = 0 }
 // "somewhat less efficient" — which the simulator charges for.
 type RR3 struct {
 	n          int
-	layout     ident.Layout
 	lastWinner int
 }
 
@@ -136,7 +140,7 @@ type RR3 struct {
 // winner register starts at 0, so the very first arbitration is an empty
 // pass that resets it to N+1; hardware coming out of reset does the same.
 func NewRR3(n int) *RR3 {
-	return &RR3{n: n, layout: ident.LayoutFor(n)}
+	return &RR3{n: n}
 }
 
 // Name implements Protocol.
@@ -172,3 +176,6 @@ func (p *RR3) Arbitrate(waiting *bitarb.Vec) Outcome {
 
 // Reset implements Protocol.
 func (p *RR3) Reset() { p.lastWinner = 0 }
+
+// AppendState implements Protocol: the winner register.
+func (p *RR3) AppendState(dst []byte) []byte { return appendUint(dst, p.lastWinner) }

@@ -68,17 +68,15 @@ func (p *TicketFCFS) OnServiceStart(id int, _ float64) { p.holds[id] = false }
 // map circular ticket age onto the counter field so the standard
 // maximum-finding arbitration selects it (older = larger age).
 func (p *TicketFCFS) Arbitrate(waiting *bitarb.Vec) Outcome {
-	// Age is measured backwards from the dispenser's next value; with a
-	// 2k-bit counter and at most N outstanding tickets, ages never
-	// wrap ambiguously.
 	return Outcome{Winner: contend(waiting, func(id int) (uint64, bool) {
-		age := (p.next - p.ticket[id] + p.modulus) % p.modulus
-		if age >= p.modulus {
-			age = p.modulus - 1
-		}
-		return p.layout.Encode(ident.Number{Static: id, Counter: age % p.modulus}), true
+		return p.layout.Encode(ident.Number{Static: id, Counter: p.age(id)}), true
 	})}
 }
+
+// age is the circular age of agent id's ticket, measured backwards
+// from the dispenser's next value; with a 2k-bit counter and at most N
+// outstanding tickets, ages never wrap ambiguously.
+func (p *TicketFCFS) age(id int) int { return (p.next - p.ticket[id] + p.modulus) % p.modulus }
 
 // Reset implements Protocol.
 func (p *TicketFCFS) Reset() {
@@ -88,6 +86,21 @@ func (p *TicketFCFS) Reset() {
 		p.ticket[i] = 0
 		p.holds[i] = false
 	}
+}
+
+// AppendState implements Protocol: the age of every held ticket, 0
+// for an agent that holds none. Only the tickets' order decides a
+// grant, and raw ticket numbers would keep growing with the dispenser
+// while the ages stay below N.
+func (p *TicketFCFS) AppendState(dst []byte) []byte {
+	for id := 1; id <= p.n; id++ {
+		age := 0
+		if p.holds[id] {
+			age = 1 + p.age(id)
+		}
+		dst = appendUint(dst, age)
+	}
+	return dst
 }
 
 func init() {

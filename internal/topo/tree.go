@@ -274,6 +274,16 @@ func (t *Tree) Reset() {
 	t.hops = t.hops[:0]
 }
 
+// AppendState implements core.Protocol: every node's state, in node
+// order. A node's pending count follows from the waiting set, and the
+// line-up times, request times and hops are timestamps.
+func (t *Tree) AppendState(dst []byte) []byte {
+	for i := range t.nodes {
+		dst = t.nodes[i].proto.AppendState(dst)
+	}
+	return dst
+}
+
 func (t *Tree) checkAgent(g int) {
 	if g < 1 || g > t.n {
 		panic(fmt.Sprintf("topo: agent %d out of range 1..%d", g, t.n))

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"busarb/internal/bitarb"
@@ -178,6 +179,77 @@ func TestTreeRepasses(t *testing.T) {
 	}
 	if out := tree.Arbitrate(waiting); out.Repass || out.Winner != 3 {
 		t.Fatalf("pass 3 = %+v, want agent 3", out)
+	}
+}
+
+// TestTreeResetRestoresInitialState holds Tree.Reset to the promise
+// the exhaustive verifier replays on: after a random history that stops
+// with agents waiting, a reset tree and a fresh one encode the same
+// state, and a second history gets the same outcomes, repasses
+// included, the same hops and the same encoding from both.
+func TestTreeResetRestoresInitialState(t *testing.T) {
+	spec := &Spec{Protocol: "FCFS2", Children: []Spec{
+		{Protocol: "RR3", Agents: 3},
+		{Protocol: "RR1", Children: []Spec{{Protocol: "Hybrid", Agents: 2}, {Protocol: "FCFS1", Agents: 2}}}}}
+	used, err := NewTree(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewTree(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := used.N()
+	src := rng.New(1988)
+	waiting := bitarb.NewVec(n)
+	// step requests for a free agent or grants, at time now, on every
+	// tree given, and returns the outcomes of the grant's passes.
+	step := func(now float64, trees ...*Tree) []core.Outcome {
+		if !waiting.Any() || (waiting.Count() < n && src.Float64() < 0.6) {
+			g := 1 + src.Intn(n)
+			for waiting.Test(g) {
+				g = 1 + src.Intn(n)
+			}
+			waiting.Set(g)
+			for _, tree := range trees {
+				tree.OnRequest(g, now)
+			}
+			return nil
+		}
+		outs := make([][]core.Outcome, len(trees))
+		for i, tree := range trees {
+			for {
+				out := tree.Arbitrate(waiting)
+				outs[i] = append(outs[i], out)
+				if !out.Repass {
+					tree.OnServiceStart(out.Winner, now)
+					break
+				}
+			}
+		}
+		for _, o := range outs[1:] {
+			if !slices.Equal(o, outs[0]) {
+				t.Fatalf("at %v: reset tree %v, fresh %v", now, outs[0], o)
+			}
+		}
+		waiting.Clear(outs[0][len(outs[0])-1].Winner)
+		return outs[0]
+	}
+	for now := 1.0; now <= 300 || !waiting.Any(); now++ {
+		step(now, used)
+	}
+	used.Reset()
+	waiting.Reset()
+	if got, want := used.AppendState(nil), fresh.AppendState(nil); !slices.Equal(got, want) {
+		t.Fatalf("after Reset: state %v, fresh %v", got, want)
+	}
+	for now := 1.0; now <= 300; now++ {
+		if outs := step(now, used, fresh); outs != nil && !slices.Equal(used.LastHops(), fresh.LastHops()) {
+			t.Fatalf("at %v: reset tree hops %v, fresh %v", now, used.LastHops(), fresh.LastHops())
+		}
+		if got, want := used.AppendState(nil), fresh.AppendState(nil); !slices.Equal(got, want) {
+			t.Fatalf("at %v: reset tree state %v, fresh %v", now, got, want)
+		}
 	}
 }
 

@@ -11,23 +11,11 @@ import (
 // protocol never bypasses a continuously waiting agent more than N-1
 // times on a 4-agent bus — and that fixed priority has no such bound.
 func Example() {
-	rr := verify.System{
-		N:         4,
-		New:       func(n int) core.Protocol { return core.NewRR1(n) },
-		Key:       verify.KeyRR,
-		MaxBypass: 3,
-	}
-	res := verify.Explore(rr, 1_000_000)
+	res := verify.Explore(verify.System{Proto: core.NewRR1(4), MaxBypass: 3}, 1_000_000)
 	fmt.Printf("RR1: violation=%v states=%d worst=%d\n",
 		res.Violation != nil, res.States, res.MaxBypass)
 
-	fp := verify.System{
-		N:         4,
-		New:       func(n int) core.Protocol { return core.NewFixedPriority(n) },
-		Key:       verify.KeyFP,
-		MaxBypass: 3,
-	}
-	res = verify.Explore(fp, 1_000_000)
+	res = verify.Explore(verify.System{Proto: core.NewFixedPriority(4), MaxBypass: 3}, 1_000_000)
 	fmt.Printf("FP: violation=%v (agent %d starved)\n",
 		res.Violation != nil, res.Violation.Agent)
 	// Output:
