@@ -54,7 +54,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.Determinism, "busarb/cmd/benchjson", true},
 		{analysis.Determinism, "busarb/internal/report", false},
 		{analysis.Determinism, "busarb/internal/obs", false},
-		{analysis.Determinism, "busarb/internal/grant", true},
+		{analysis.Determinism, "busarb/internal/busctl", true},
 		{analysis.Determinism, "busarb/internal/core", true},
 		{analysis.Determinism, "busarb/internal/bitarb", true},
 		{analysis.Determinism, "busarb/internal/arbd", false},
@@ -62,7 +62,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.Determinism, "busarb/internal/arbd/cluster", true},
 		{analysis.Determinism, "busarb/internal/topo", true},
 		{analysis.NilProbe, "busarb/internal/topo", true},
-		{analysis.NilProbe, "busarb/internal/grant", true},
+		{analysis.NilProbe, "busarb/internal/busctl", true},
 		{analysis.NilProbe, "busarb/internal/core", true},
 		{analysis.NilProbe, "busarb/internal/arbd/codec", true},
 		// The cluster package rides simPackagePaths into nilprobe scope
@@ -77,7 +77,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.SeedSrc, "busarb/internal/workload", true},
 		{analysis.AllocFree, "busarb/internal/bitarb", true},
 		{analysis.AllocFree, "busarb/internal/arbd/codec", true},
-		{analysis.AllocFree, "busarb/internal/grant", true},
+		{analysis.AllocFree, "busarb/internal/busctl", true},
 		{analysis.AllocFree, "busarb/internal/topo", true},
 		{analysis.AllocFree, "busarb/internal/arbd", false},
 		{analysis.AllocFree, "busarb/internal/sim", true},

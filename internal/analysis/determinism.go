@@ -23,11 +23,12 @@ var simPackagePaths = []string{
 	// The bit-parallel arbitration kernel every hot path resolves
 	// through: a nondeterminism here would skew every protocol at once.
 	"internal/bitarb",
-	// grant drives the protocols for arbd: its request-line bookkeeping
-	// must stay as deterministic as the protocols it calls. (The daemon,
+	// The §4.1 bus controller drives the protocols for every simulator
+	// and for arbd: its request-line bookkeeping must stay as
+	// deterministic as the protocols it calls. (The daemon,
 	// internal/arbd, is deliberately absent: its shard loops are
 	// wall-clock by design — tickers, lease TTLs, client deadlines.)
-	"internal/grant",
+	"internal/busctl",
 	// The arbitration-tree layer composes core protocols into
 	// hierarchies that both the simulators and arbd run, so it inherits
 	// core's discipline.

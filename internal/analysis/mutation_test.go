@@ -39,14 +39,16 @@ func TestMutationsTurnTheTreeRed(t *testing.T) {
 			analyzer: analysis.NilProbe,
 			file:     "internal/bussim/bussim.go",
 			pkg:      "internal/bussim",
-			old: `	if s.cfg.Observer != nil {
-		// Probes may retain events, so the snapshot is listed into a
-		// fresh slice (observed runs are not the allocation-free path).
+			old: `		if s.cfg.Observer != nil {
+			// Probes may retain events, so the snapshot is listed into a
+			// fresh slice (observed runs are not the allocation-free path).
+			snap := s.bus.Snapshot()
+			s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
+				Agents: snap.AppendIDs(make([]int, 0, snap.Count()))})
+		}`,
+			new: `		snap := s.bus.Snapshot()
 		s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
-			Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})
-	}`,
-			new: `	s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ArbitrationStart,
-		Agents: s.snap.AppendIDs(make([]int, 0, s.snap.Count()))})`,
+			Agents: snap.AppendIDs(make([]int, 0, snap.Count()))})`,
 			want: "outside a nil-Observer guard",
 		},
 		{

@@ -72,17 +72,7 @@ func saturatedWithFaults(p core.Protocol, waiting *bitarb.Vec, grants, period in
 		if period > 0 && g%period == period-1 {
 			inject(1 + src.Intn(n))
 		}
-		var w int
-		for pass := 0; ; pass++ {
-			out := p.Arbitrate(waiting)
-			if !out.Repass {
-				w = out.Winner
-				break
-			}
-			if pass > 2 {
-				panic("experiment: runaway repass")
-			}
-		}
+		w, _ := core.Resolve(p, waiting)
 		now++
 		p.OnServiceStart(w, now)
 		counts[w]++

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkGrantResolve measures one saturated grant through a Bus —
-// Resolve plus the winner's re-assert, the per-grant cost of an arbd
-// shard's bus cycle — for each protocol. The path is alloc-guarded
+// BenchmarkGrantResolve measures one saturated grant through the
+// controller as the arbd shard drives it — a settle, the winner's
+// tenure and its re-assert, the per-grant cost of a shard's bus cycle —
+// for each protocol. The path is alloc-guarded
 // (TestSteadyStateAllocs pins 0, allocfree proves it); ReportAllocs
 // keeps the trajectory honest in BENCH_*.json.
 func BenchmarkGrantResolve(b *testing.B) {
@@ -19,8 +20,8 @@ func BenchmarkGrantResolve(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					w, _ := bus.Resolve()
-					bus.Assert(w) // closed loop: the winner re-requests
+					w, _ := bus.resolve()
+					bus.assert(w) // closed loop: the winner re-requests
 				}
 			})
 		}

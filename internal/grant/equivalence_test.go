@@ -9,7 +9,7 @@ import (
 )
 
 // simDriver replays the simulators' calling convention against a
-// core.Protocol with no Bus code: OnRequest per arrival, Arbitrate
+// core.Protocol with no controller code: OnRequest per arrival, Arbitrate
 // over a request-line snapshot with repasses re-run at once,
 // OnServiceStart for the winner, and one time step per call.
 type simDriver struct {
@@ -44,9 +44,10 @@ func (d *simDriver) grant() int {
 }
 
 // TestSchedulerMatchesSimulatorProtocol is the contract that lets arbd
-// claim the paper's fairness results: on random arrival traces a Bus
-// grants exactly what the same protocol grants under the simulators'
-// calling convention, repasses included.
+// claim the paper's fairness results: on random arrival traces the
+// controller, driven as the shard drives it, grants exactly what the
+// same protocol grants under the simulators' calling convention,
+// repasses included.
 func TestSchedulerMatchesSimulatorProtocol(t *testing.T) {
 	const ops = 2000
 	for _, name := range []string{"FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
@@ -58,25 +59,25 @@ func TestSchedulerMatchesSimulatorProtocol(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(name, func(t *testing.T) {
 					src := rng.New(seed*1000 + uint64(n))
-					b := New(f(n))
+					b := newShardBus(f(n))
 					d := &simDriver{proto: f(n), pending: make([]bool, n+1)}
 					grants, repasses := 0, int64(0)
 					for op := 0; op < ops; op++ {
 						// Bias toward arrivals so grants usually see
 						// contention; grant anyway once everyone waits.
-						waiting := b.Pending()
+						waiting := b.pending()
 						if (src.Float64() < 0.6 && waiting < n) || waiting == 0 {
 							id := 1 + src.Intn(n)
 							for d.pending[id] {
 								id = 1 + src.Intn(n)
 							}
 							d.request(id)
-							if !b.Assert(id) {
-								t.Fatalf("op %d: Assert(%d) dup against fresh arrival", op, id)
+							if !b.assert(id) {
+								t.Fatalf("op %d: assert(%d) dup against fresh arrival", op, id)
 							}
 							continue
 						}
-						got, r := b.Resolve()
+						got, r := b.resolve()
 						if want := d.grant(); got != want {
 							t.Fatalf("op %d (grant %d): bus granted %d, simulator convention %d",
 								op, grants, got, want)

@@ -135,11 +135,11 @@ func (m *settleModel) grant() int {
 }
 
 // TestKernelMatchesSettleOracle is the equivalence contract between
-// what arbd grants — a Bus driving the core protocol, whose resolutions
-// run on the bitarb kernel — and the wired-OR settle: the two replay the
-// same random history of requests and grants and must produce identical
-// winner sequences and repass counts. Agent counts straddle the 64-bit
-// word boundaries and reach kernel scale.
+// what arbd grants — the controller driving the core protocol, whose
+// resolutions run on the bitarb kernel — and the wired-OR settle: the
+// two replay the same random history of requests and grants and must
+// produce identical winner sequences and repass counts. Agent counts
+// straddle the 64-bit word boundaries and reach kernel scale.
 func TestKernelMatchesSettleOracle(t *testing.T) {
 	ns := []int{1, 2, 5, 63, 64, 65, 130, 1024}
 	for _, name := range []string{"FCFS1", "FCFS2", "FP", "RR1", "RR2", "RR3"} {
@@ -152,11 +152,11 @@ func TestKernelMatchesSettleOracle(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				b := New(f(n))
+				b := newShardBus(f(n))
 				model := newSettleModel(name, n)
 				repasses := 0
 				grant := func() {
-					w, r := b.Resolve()
+					w, r := b.resolve()
 					if want := model.grant(); w != want {
 						t.Fatalf("kernel granted %d, settle oracle %d", w, want)
 					}
@@ -169,8 +169,8 @@ func TestKernelMatchesSettleOracle(t *testing.T) {
 					events = 1200 // enough churn to wrap lastWinner / counters
 				}
 				for ev := 0; ev < events; ev++ {
-					if src.Intn(3) != 0 || b.Pending() == 0 {
-						if agent := 1 + src.Intn(n); b.Assert(agent) {
+					if src.Intn(3) != 0 || b.pending() == 0 {
+						if agent := 1 + src.Intn(n); b.assert(agent) {
 							model.request(agent)
 						}
 						continue
@@ -178,7 +178,7 @@ func TestKernelMatchesSettleOracle(t *testing.T) {
 					grant()
 				}
 				// Drain both to compare the full winner sequence.
-				for b.Pending() > 0 {
+				for b.pending() > 0 {
 					grant()
 				}
 				if repasses != model.repasses {

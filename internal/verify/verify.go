@@ -127,17 +127,7 @@ func (e *explorer) request(id, t int) {
 // included, serves the winner and counts one bypass against every
 // agent still waiting. It returns the winner.
 func (e *explorer) grant(t int) int {
-	w := 0
-	for pass := 0; ; pass++ {
-		// A tree repasses at most once per RR3 node, and has under 2N.
-		if pass > 2*e.n {
-			panic("verify: runaway repass")
-		}
-		if out := e.p.Arbitrate(e.waiting); !out.Repass {
-			w = out.Winner
-			break
-		}
-	}
+	w, _ := core.Resolve(e.p, e.waiting)
 	e.waiting.Clear(w)
 	e.bypass[w] = 0
 	e.p.OnServiceStart(w, float64(t))
