@@ -183,6 +183,14 @@ func TestRunValidatesInsteadOfPanicking(t *testing.T) {
 	if _, err := Run(CycleConfig{}); err == nil {
 		t.Error("Run accepted an empty CycleConfig")
 	}
+	procs := []*CoherentProc{
+		{Pattern: &WorkingSetPattern{Bytes: 8192}, CyclePerRef: 0.5},
+		{Pattern: &WorkingSetPattern{Bytes: 8192}, CyclePerRef: 0.5},
+	}
+	if _, err := Run(CoherentConfig{Procs: procs, Protocol: MustProtocol("RR1"), Horizon: 10,
+		ArbOverhead: -1}); err == nil {
+		t.Error("Run accepted a CoherentConfig with a negative ArbOverhead")
+	}
 }
 
 func TestNewProtocolFactory(t *testing.T) {
