@@ -106,6 +106,29 @@ func TestRotatingRRBoundedBypassExhaustive(t *testing.T) {
 	proveStates(t, "RotRR", []int{12, 72, 480})
 }
 
+// The variants built from RR or FCFS plus extra bits — the priority
+// line (§2.4, §3.1, §3.2), the §5 hybrid and the ticket scheme —
+// prove N-1 over the state counts of their single-class encodings:
+// RR1+prio's winner register and classes, FCFS1+prio's and
+// FCFS2+prio's counters, Hybrid's winner register over FCFS2's
+// counters, and the age of every held ticket.
+func TestVariantsBoundedBypassExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		states []int
+	}{
+		{"RR1+prio", []int{16, 80, 496}},
+		{"RR1+prio/rr", []int{16, 80, 496}},
+		{"FCFS1+prio/overflow", []int{8, 50, 432}},
+		{"FCFS1+prio/matched", []int{8, 50, 432}},
+		{"FCFS2+prio", []int{13, 151, 2537}},
+		{"Hybrid", []int{23, 250, 4269}},
+		{"Ticket", []int{9, 70, 797}},
+	} {
+		proveStates(t, c.name, c.states)
+	}
+}
+
 // Fixed priority is genuinely unbounded: the verifier must find a
 // violation for any finite bound (here 2N), demonstrating that the
 // harness actually detects starvation.
