@@ -30,9 +30,9 @@ import (
 //     (At, After), popping (Next), the heap's sifts (push, pop) and the
 //     solo slots (arm, take), which every simulated event runs;
 //   - internal/core: Resolve, the repass loop of untimed callers, and
-//     OnRequest, OnServiceStart and Arbitrate of FP, RR1, FCFS1, FCFS2,
-//     AAP1 and AAP2 (and AAP2's release), the per-arbitration path of
-//     every perfbench and Table 4.1 run.
+//     every protocol's OnRequest, OnClassRequest, OnServiceStart and
+//     Arbitrate (and AAP2's release), the per-request and per-grant
+//     path of every simulator and arbd shard.
 //
 // Flagged constructs: make, new, slice/map composite literals,
 // &-literals, appends that are not provably reuse-backed, function
@@ -69,10 +69,9 @@ var AllocFree = &Analyzer{
 }
 
 // allocFreeScope maps package-path suffixes to the function and method
-// names in scope; a nil list means the whole package. A bare name
-// scopes every function or method of that name; a receiver-qualified
-// one (AAP1.Arbitrate) scopes that type's method alone. Packages not
-// listed (the analysistest testdata trees) check every function.
+// names in scope; a nil list means the whole package. A name scopes
+// every function or method of that name. Packages not listed (the
+// analysistest testdata trees) check every function.
 var allocFreeScope = []struct {
 	suffix string
 	funcs  []string
@@ -85,13 +84,7 @@ var allocFreeScope = []struct {
 	}},
 	{"internal/sim", []string{"At", "After", "Next", "push", "pop", "arm", "take"}},
 	{"internal/core", []string{
-		"Resolve",
-		"FixedPriority.OnRequest", "FixedPriority.OnServiceStart", "FixedPriority.Arbitrate",
-		"RR1.OnRequest", "RR1.OnServiceStart", "RR1.Arbitrate",
-		"FCFS1.OnRequest", "FCFS1.OnServiceStart", "FCFS1.Arbitrate",
-		"FCFS2.OnRequest", "FCFS2.OnServiceStart", "FCFS2.Arbitrate",
-		"AAP1.OnRequest", "AAP1.OnServiceStart", "AAP1.Arbitrate",
-		"AAP2.OnRequest", "AAP2.OnServiceStart", "AAP2.Arbitrate", "AAP2.release",
+		"Resolve", "OnRequest", "OnClassRequest", "OnServiceStart", "Arbitrate", "release",
 	}},
 }
 
@@ -118,22 +111,6 @@ func allocScopeFuncs(pkgPath string) map[string]bool {
 		}
 	}
 	return nil
-}
-
-// qualifiedName returns "T.M" for a method M declared on T or *T, and
-// "" for a plain function.
-func qualifiedName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return ""
 }
 
 var allocAnnRE = regexp.MustCompile(`^//\s*arblint:alloc\b`)
@@ -171,7 +148,7 @@ func runAllocFree(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if scope != nil && !scope[fd.Name.Name] && !scope[qualifiedName(fd)] {
+			if scope != nil && !scope[fd.Name.Name] {
 				continue
 			}
 			if c.consumeDocAnn(fd) {

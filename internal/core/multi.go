@@ -29,7 +29,7 @@ func ceilLog2(v int) int {
 type MultiFCFS struct {
 	n      int
 	r      int
-	layout ident.Layout
+	maxCtr int     // the counter field's largest value
 	queues [][]int // per-agent FIFO of request counters
 }
 
@@ -42,7 +42,7 @@ func NewMultiFCFS(n, r int) *MultiFCFS {
 	return &MultiFCFS{
 		n:      n,
 		r:      r,
-		layout: ident.Layout{StaticBits: ident.Width(n), CounterBits: ident.Width(n) + ceilLog2(r)},
+		maxCtr: 1<<(ident.Width(n)+ceilLog2(r)) - 1,
 		queues: make([][]int, n+1),
 	}
 }
@@ -72,15 +72,15 @@ func (p *MultiFCFS) OnRequest(id int, _ float64) {
 	if len(p.queues[id]) >= p.r {
 		panic(fmt.Sprintf("core: agent %d exceeded %d outstanding requests", id, p.r))
 	}
-	maxCtr := 1<<p.layout.CounterBits - 1
 	for a := 1; a <= p.n; a++ {
 		q := p.queues[a]
 		for i := range q {
-			if q[i] < maxCtr {
+			if q[i] < p.maxCtr {
 				q[i]++
 			}
 		}
 	}
+	//arblint:alloc each FIFO grows to its window r once: OnServiceStart pops in place
 	p.queues[id] = append(p.queues[id], 0)
 }
 
@@ -90,19 +90,27 @@ func (p *MultiFCFS) OnServiceStart(id int, _ float64) {
 	if len(q) == 0 {
 		panic(fmt.Sprintf("core: service start for agent %d with empty queue", id))
 	}
-	p.queues[id] = q[1:]
+	p.queues[id] = q[:copy(q, q[1:])]
 }
 
 // Arbitrate implements Protocol: each waiting agent competes with the
-// counter of its oldest (highest-counter) request.
+// counter of its oldest (highest-counter) request, ties toward the
+// higher identity. It visits every competitor, as the pulses visit
+// every queued request: the counters sit in per-request FIFOs, which
+// bitarb.Arrivals, one counter per agent, does not hold.
 func (p *MultiFCFS) Arbitrate(waiting *bitarb.Vec) Outcome {
-	return Outcome{Winner: contend(waiting, func(id int) (uint64, bool) {
+	winner, best := 0, -1
+	for id := waiting.Max(); id > 0; id = waiting.MaxBelow(id) {
 		q := p.queues[id]
 		if len(q) == 0 {
 			panic(fmt.Sprintf("core: agent %d waiting with empty queue", id))
 		}
-		return p.layout.Encode(ident.Number{Static: id, Counter: q[0]}), true
-	})}
+		// Highest identity first: only a larger counter displaces.
+		if q[0] > best {
+			winner, best = id, q[0]
+		}
+	}
+	return Outcome{Winner: winner}
 }
 
 // Reset implements Protocol.

@@ -153,16 +153,16 @@ func TestPriorityFCFS2DualLines(t *testing.T) {
 	// An urgent arrival pulses a-incr-priority: non-urgent 3 must NOT
 	// increment.
 	d.requestClass(6, 1, true)
-	if p.counter[3] != 0 {
-		t.Errorf("counter(3) = %d, want 0 (wrong-class pulse ignored)", p.counter[3])
+	if c := p.line[0].Counter(3); c != 0 {
+		t.Errorf("counter(3) = %d, want 0 (wrong-class pulse ignored)", c)
 	}
 	// A non-urgent arrival pulses a-incr: 3 increments, urgent 6 not.
 	d.requestClass(2, 2, false)
-	if p.counter[3] != 1 {
-		t.Errorf("counter(3) = %d, want 1", p.counter[3])
+	if c := p.line[0].Counter(3); c != 1 {
+		t.Errorf("counter(3) = %d, want 1", c)
 	}
-	if p.counter[6] != 0 {
-		t.Errorf("counter(6) = %d, want 0", p.counter[6])
+	if c := p.line[1].Counter(6); c != 0 {
+		t.Errorf("counter(6) = %d, want 0", c)
 	}
 	// Urgent always first; then FCFS among non-urgent.
 	if w := d.arbitrate(); w != 6 {
@@ -227,7 +227,7 @@ func TestPriorityProtocolResets(t *testing.T) {
 	pr.OnClassRequest(1, 0, true)
 	pr.Arbitrate(lines(pr.N(), 1))
 	pr.Reset()
-	if pr.lastWinner != 0 || pr.urgent[1] {
+	if pr.rr.lastWinner != 0 || pr.urgent.Test(1) {
 		t.Error("PriorityRR Reset incomplete")
 	}
 	pf := NewPriorityFCFS1(4, CounterOverflow)
@@ -241,7 +241,7 @@ func TestPriorityProtocolResets(t *testing.T) {
 	p2 := NewPriorityFCFS2(4)
 	p2.OnClassRequest(1, 0, true)
 	p2.Reset()
-	if p2.counter[1] != 0 || p2.waiting[1] || p2.urgent[1] {
+	if p2.line[1].Counter(1) != 0 || p2.line[1].ctr.Waits(1) || p2.urgent.Test(1) {
 		t.Error("PriorityFCFS2 Reset incomplete")
 	}
 }

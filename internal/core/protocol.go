@@ -5,12 +5,20 @@
 // parallel contention arbiter and the two "assured access" fairness
 // protocols of the 1980s bus standards (§2.2).
 //
-// All protocols are expressed against one abstraction: at each
-// arbitration, every competing agent applies a composite arbitration
-// number (package ident) and the bus's maximum-finding mechanism
-// (package contention) selects the largest. A protocol is therefore just
-// (a) a rule for which waiting agents compete, and (b) a rule for the
-// dynamic fields of each competitor's arbitration number.
+// On the bus, each competing agent applies a composite arbitration
+// number (package ident) and the maximum-finding mechanism (package
+// contention) selects the largest. Each protocol here computes that
+// settled maximum directly from its own state and the request lines,
+// in O(words) with the bitarb kernel: RR1's thermometer split
+// (Vec.MaxBelow), the assured access protocols' masked maxima, and
+// the FCFS counters of bitarb.Arrivals. The variants reuse their base
+// protocol's state: the priority line is an urgent bitmap over RR1's
+// split or the FCFS counters, the §5 hybrid is FCFS2 with RR1's
+// register breaking counter ties, and tickets are Arrivals in which
+// every request closes its own window. Only rotating RR and MultiFCFS
+// visit each competitor, for the reasons their docs give. The
+// number-level model stays in packages ident, contention and
+// cyclesim, and the tests hold every protocol to it.
 //
 // Agent identities are 1..N (identity 0 is reserved, §2.1).
 package core
@@ -89,24 +97,6 @@ func Resolve(p Protocol, lines *bitarb.Vec) (winner, repasses int) {
 	}
 }
 
-// contend runs one contention pass among the waiting agents: every
-// competitor applies its arbitration number and the largest wins — the
-// settled maximum of §2.1, which package contention verifies the
-// wired-OR lines compute. number returns an agent's arbitration number
-// and whether it competes at all. contend returns the winner, or 0 if
-// nobody competed. The numbers embed distinct static identities, so
-// the maximum is unique and the visiting order (highest identity
-// first) cannot change it.
-func contend(waiting *bitarb.Vec, number func(id int) (uint64, bool)) int {
-	winner, best := 0, uint64(0)
-	for id := waiting.Max(); id > 0; id = waiting.MaxBelow(id) {
-		if v, ok := number(id); ok && (winner == 0 || v > best) {
-			winner, best = id, v
-		}
-	}
-	return winner
-}
-
 // appendUint appends one register to a state encoding as a uvarint,
 // which keeps a sequence of registers self-delimiting.
 func appendUint(dst []byte, v int) []byte { return binary.AppendUvarint(dst, uint64(v)) }
@@ -116,18 +106,6 @@ func appendUint(dst []byte, v int) []byte { return binary.AppendUvarint(dst, uin
 func appendInts(dst []byte, rs []int) []byte {
 	for _, r := range rs[1:] {
 		dst = appendUint(dst, r)
-	}
-	return dst
-}
-
-// appendFlags appends the per-agent flags fs[1:], one byte each.
-func appendFlags(dst []byte, fs []bool) []byte {
-	for _, f := range fs[1:] {
-		b := byte(0)
-		if f {
-			b = 1
-		}
-		dst = append(dst, b)
 	}
 	return dst
 }

@@ -27,6 +27,12 @@ import (
 // Contrast RR1: the lines carry the winner's static identity, so every
 // agent's register is rewritten with ground truth at each arbitration
 // and any corruption heals in one cycle (see the robustness tests).
+//
+// A grant visits every competitor and every agent's base: diverged
+// bases are what the robustness study measures, so each agent keeps
+// its own. While the bases agree the scheme is RR1's split, but a
+// shared-base fast path would be a second code path that no benchmark
+// workload runs.
 type RotatingRR struct {
 	n int
 	// base[a] is agent a's private belief about the previous winner's

@@ -86,10 +86,33 @@ func TestTicketRegistryAndReset(t *testing.T) {
 	p := f(6).(*TicketFCFS)
 	p.OnRequest(1, 0)
 	p.Reset()
-	if p.TicketCycles != 0 || p.next != 0 {
+	if p.TicketCycles != 0 || p.ctr.Waits(1) {
 		t.Error("Reset incomplete")
 	}
 	if p.Name() != "Ticket" || p.N() != 6 {
 		t.Error("metadata wrong")
+	}
+}
+
+// TestTicketKeptLineCompetesFrozen pins what a served agent whose line
+// stays up (a snoop processor between the write-back and the fill of
+// one chain) competes with: its counter frozen at service start, which
+// is FCFS2's rule, not the age of its spent ticket, which kept growing
+// with every ticket drawn after it. Agent 1 is served with its line
+// kept up, and agent 3's request then ages agent 2's ticket to agent
+// 1's frozen count, so the higher identity, 2, wins; the spent ticket
+// would have been older and won.
+func TestTicketKeptLineCompetesFrozen(t *testing.T) {
+	for _, p := range []Protocol{NewTicketFCFS(4), NewFCFS2(4)} {
+		p.OnRequest(1, 1)
+		p.OnRequest(2, 2)
+		if w := p.Arbitrate(lines(4, 1, 2)).Winner; w != 1 {
+			t.Fatalf("%s: first grant %d, want the oldest request 1", p.Name(), w)
+		}
+		p.OnServiceStart(1, 2)
+		p.OnRequest(3, 3)
+		if w := p.Arbitrate(lines(4, 1, 2, 3)).Winner; w != 2 {
+			t.Errorf("%s: grant %d with agent 1's line kept up, want 2", p.Name(), w)
+		}
 	}
 }
