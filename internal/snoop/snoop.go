@@ -423,7 +423,7 @@ func (m *machine) executeRef(p *Proc) {
 			m.scheduleRef(p)
 			return
 		default: // write hit on Shared: upgrade
-			p.pendingTx = []tx{{kind: BusUpgr, block: block}}
+			p.pendingTx = append(p.pendingTx[:0], tx{kind: BusUpgr, block: block})
 			p.pendingAddr = addr
 			p.pendingWrite = true
 			m.request(p)
@@ -435,7 +435,9 @@ func (m *machine) executeRef(p *Proc) {
 	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.CacheMiss, Agent: p.ID, Aux: int64(block)})
 	if p.invalidated[block] {
 		p.Stats.CoherenceMisses++
-		delete(p.invalidated, block)
+		// Cleared, not deleted: a map that only ever holds the blocks
+		// seen stops growing, where delete's tombstones make it rehash.
+		p.invalidated[block] = false
 	}
 	p.pendingTx = p.pendingTx[:0]
 	v := p.cache.victim(block)
@@ -513,7 +515,8 @@ func (m *machine) completeTx(p *Proc, t tx) {
 	m.emit(obs.Event{Time: m.sched.Now(), Kind: obs.ServiceEnd, Agent: p.ID,
 		Aux: int64(t.block), Label: t.kind.String()})
 	m.commit(p, t)
-	p.pendingTx = p.pendingTx[1:]
+	// Pop by copying down, so the chain's backing array is reused.
+	p.pendingTx = p.pendingTx[:copy(p.pendingTx, p.pendingTx[1:])]
 	if len(p.pendingTx) > 0 {
 		// The chain continues (write-back then fill): re-request.
 		m.request(p)
