@@ -203,23 +203,16 @@ func PriorityWorkload(n int, totalLoad, cv, urgentProb float64) Scenario {
 }
 
 // NewPriorityProtocol builds the priority-integrated variants of §2.4,
-// §3.1 and §3.2. Names: "RR1+prio" (urgent requests ignore the RR
-// protocol), "RR1+prio/rr" (round-robin within the urgent class),
+// §3.1 and §3.2, the registered protocols that take a request class.
+// Names: "RR1+prio" (urgent requests ignore the RR protocol),
+// "RR1+prio/rr" (round-robin within the urgent class),
 // "FCFS1+prio/overflow", "FCFS1+prio/matched", "FCFS2+prio". These are
-// also available through NewProtocol; this constructor exists to return
-// them with their ClassRequester capability statically known.
+// also available through NewProtocol.
 func NewPriorityProtocol(name string, n int) (Protocol, error) {
-	switch name {
-	case "RR1+prio":
-		return core.NewPriorityRR(n, core.RRIgnoreWithinClass), nil
-	case "RR1+prio/rr":
-		return core.NewPriorityRR(n, core.RRWithinClass), nil
-	case "FCFS1+prio/overflow":
-		return core.NewPriorityFCFS1(n, core.CounterOverflow), nil
-	case "FCFS1+prio/matched":
-		return core.NewPriorityFCFS1(n, core.CounterMatched), nil
-	case "FCFS2+prio":
-		return core.NewPriorityFCFS2(n), nil
+	if f, ok := core.Registry[name]; ok {
+		if p, ok := f(n).(core.ClassRequester); ok {
+			return p, nil
+		}
 	}
 	return nil, fmt.Errorf("busarb: unknown priority protocol %q", name)
 }

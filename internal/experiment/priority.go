@@ -35,24 +35,6 @@ var PriorityVariants = []string{
 	"FCFS2+prio",
 }
 
-func priorityFactory(variant string) core.Factory {
-	return func(n int) core.Protocol {
-		switch variant {
-		case "RR1+prio":
-			return core.NewPriorityRR(n, core.RRIgnoreWithinClass)
-		case "RR1+prio/rr":
-			return core.NewPriorityRR(n, core.RRWithinClass)
-		case "FCFS1+prio/overflow":
-			return core.NewPriorityFCFS1(n, core.CounterOverflow)
-		case "FCFS1+prio/matched":
-			return core.NewPriorityFCFS1(n, core.CounterMatched)
-		case "FCFS2+prio":
-			return core.NewPriorityFCFS2(n)
-		}
-		panic("experiment: unknown priority variant " + variant)
-	}
-}
-
 // PriorityStudy sweeps urgent fractions at a fixed load for every
 // integration variant.
 func PriorityStudy(n int, load float64, fracs []float64, o Opts) []PriorityRow {
@@ -72,7 +54,7 @@ func PriorityStudy(n int, load float64, fracs []float64, o Opts) []PriorityRow {
 		j := jobs[i]
 		sc := workload.PriorityMix(n, load, 1.0, j.frac)
 		cfg := bussim.Config{
-			Protocol:  priorityFactory(j.variant),
+			Protocol:  core.Registry[j.variant],
 			Seed:      o.Seed,
 			Batches:   o.Batches,
 			BatchSize: o.BatchSize,
