@@ -130,9 +130,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/arbd/codec/
 	$(GO) test -fuzz=FuzzRingStability -fuzztime=$(FUZZTIME) ./internal/arbd/cluster/
 
-# Full-effort reproduction of the paper's evaluation section.
+# Full-effort reproduction of the paper's evaluation section, with the
+# ablations and the priority, cost, robustness and memory-bus studies:
+# the run docs/paper_reproduction.txt archives.
 paper:
-	$(GO) run ./cmd/paper -all -ablations
+	$(GO) run ./cmd/paper -all -ablations -cost -robustness -priority -membus
 
 examples:
 	for d in examples/*/; do echo "=== $$d ==="; $(GO) run ./$$d; done
