@@ -3,16 +3,18 @@ package grant
 import (
 	"fmt"
 	"testing"
+
+	"busarb/internal/core"
 )
 
 // BenchmarkGrantResolve measures one saturated grant through the
 // controller as the arbd shard drives it — a settle, the winner's
 // tenure and its re-assert, the per-grant cost of a shard's bus cycle —
-// for each protocol. The path is alloc-guarded
+// for every protocol arbd serves. The path is alloc-guarded
 // (TestSteadyStateAllocs pins 0, allocfree proves it); ReportAllocs
 // keeps the trajectory honest in BENCH_*.json.
 func BenchmarkGrantResolve(b *testing.B) {
-	for _, name := range []string{"AAP1", "AAP2", "FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
+	for _, name := range core.Names() {
 		for _, n := range []int{8, 32, 64, 1024, 4096} {
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				bus := newBus(b, name, n)
