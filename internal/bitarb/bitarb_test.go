@@ -48,7 +48,7 @@ func TestVecMaxAndMaxBelow(t *testing.T) {
 		// Reference: plain bool slices scanned the slow way; m is the
 		// mask MaxAnd and MaxAndNot apply.
 		ref, mref := make([]bool, n+1), make([]bool, n+1)
-		m := NewVec(n)
+		m, and := NewVec(n), NewVec(n)
 		src := rng.New(uint64(n)*31 + 7)
 		for step := 0; step < 200; step++ {
 			i := 1 + src.Intn(n)
@@ -80,6 +80,12 @@ func TestVecMaxAndMaxBelow(t *testing.T) {
 			}
 			if got := v.MaxAndNot(m); got != wantAndNot {
 				t.Fatalf("n=%d step=%d: MaxAndNot = %d, want %d", n, step, got, wantAndNot)
+			}
+			and.And(v, m)
+			for j := 1; j <= n; j++ {
+				if got := and.Test(j); got != (ref[j] && mref[j]) {
+					t.Fatalf("n=%d step=%d: And holds %d = %v, want %v", n, step, j, got, ref[j] && mref[j])
+				}
 			}
 			limit := 1 + src.Intn(n+2)
 			want := -1
@@ -146,6 +152,7 @@ func TestVecPanics(t *testing.T) {
 	mustPanic("Test(9)", func() { v.Test(9) })
 	mustPanic("CopyFrom mismatch", func() { v.CopyFrom(NewVec(9)) })
 	mustPanic("MaxAnd mismatch", func() { v.MaxAnd(NewVec(9)) })
+	mustPanic("And mismatch", func() { v.And(v, NewVec(9)) })
 }
 
 func TestVecCloneAndCopy(t *testing.T) {
@@ -283,6 +290,16 @@ func TestInitVecsShareOneAllocation(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { InitVecs(300, &a, &b, &c) }); allocs != 1 {
 		t.Errorf("InitVecs allocates %v times, want 1", allocs)
 	}
+	var x, y Arrivals
+	if allocs := testing.AllocsPerRun(10, func() { InitArrivals(9, 300, []*Arrivals{&x, &y}, &a, &b) }); allocs != 2 {
+		t.Errorf("InitArrivals allocates %v times, want 2", allocs)
+	}
+	x.Pulse(300, false)
+	y.Pulse(1, false)
+	a.Set(300)
+	if x.Get(300) != 0 || !x.Waits(300) || y.Waits(300) || x.Waits(1) || b.Any() {
+		t.Error("InitArrivals backs two of its banks or bitmaps with shared words")
+	}
 }
 
 // TestSteadyStateAllocs pins the kernel's zero-allocation contract:
@@ -304,6 +321,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		v.MaxBelow(77)
 		v.MaxAnd(v)
 		v.MaxAndNot(v)
+		v.And(v, v)
 		v.CopyFrom(v)
 		p.Resolve(v)
 		// Enough pulses per run to fill the arrival ring and compact it.
@@ -315,7 +333,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		a.MaxIn(v)
+		a.MaxInRR(v, 77)
 		a.Get(1)
+		a.Waits(1)
 		// FCFS1's arbitration, with a dropped agent coming back at a
 		// frozen counter (the slow path) every few rounds.
 		for k := 0; k < 3*n; k++ {
@@ -326,8 +346,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 			w := f.MaxIn(v)
 			f.Tick(false)
 			f.Zero(w)
+			f.Wrap(3)
 			v.Set(4)
 		}
+		f.Freeze(4, 2)
 	}
 	work()
 	if allocs := testing.AllocsPerRun(100, work); allocs != 0 {
