@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzKernelMatchesSettle -fuzztime=$(FUZZTIME) ./internal/contention/
 	$(GO) test -fuzz=FuzzArrivalsMatchCounters -fuzztime=$(FUZZTIME) ./internal/bitarb/
 	$(GO) test -fuzz=FuzzSoloMatchesHeap -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -fuzz=FuzzOrderMatchesModel -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz=FuzzReadJSONL -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/arbd/codec/
 	$(GO) test -fuzz=FuzzRingStability -fuzztime=$(FUZZTIME) ./internal/arbd/cluster/

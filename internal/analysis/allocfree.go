@@ -27,8 +27,13 @@ import (
 //   - internal/topo: the steady-state tree operations — building the
 //     tree is setup;
 //   - internal/sim: the event engine's per-event path — scheduling
-//     (At, After), popping (Next), the heap's sifts (push, pop) and the
-//     solo slots (arm, take), which every simulated event runs;
+//     (At, After), popping (Next), the heap's sifts (push, pop) and
+//     their order (earlier), and the solo slots (arm, take), which
+//     every simulated event runs;
+//   - internal/bussim: the simulator's per-event path — each think
+//     time, arrival, arbitration, transaction start and end and
+//     completion record; Run's set-up and closeBatch, once per batch,
+//     stay out;
 //   - internal/core: Resolve, the repass loop of untimed callers, and
 //     every protocol's OnRequest, OnClassRequest, OnServiceStart and
 //     Arbitrate (and AAP2's release), the per-request and per-grant
@@ -62,7 +67,7 @@ import (
 var AllocFree = &Analyzer{
 	Name: "allocfree",
 	Doc: "hot-path functions (bitarb, codec, the bus controller's per-event path, topo steady state, " +
-		"sim event path, the core protocols' request/grant path) must not allocate; //arblint:alloc annotates deliberate " +
+		"sim and bussim event paths, the core protocols' request/grant path) must not allocate; //arblint:alloc annotates deliberate " +
 		"setup-phase allocations",
 	AppliesTo: allocFreeApplies,
 	Run:       runAllocFree,
@@ -82,7 +87,11 @@ var allocFreeScope = []struct {
 	{"internal/topo", []string{
 		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops", "Reset", "checkAgent",
 	}},
-	{"internal/sim", []string{"At", "After", "Next", "push", "pop", "arm", "take"}},
+	{"internal/sim", []string{"At", "After", "Next", "push", "pop", "earlier", "arm", "take"}},
+	{"internal/bussim", []string{
+		"scheduleNextRequest", "requestArrives", "follow", "carry", "resolveArbitration",
+		"startService", "completeService", "recordCompletion",
+	}},
 	{"internal/core", []string{
 		"Resolve", "OnRequest", "OnClassRequest", "OnServiceStart", "Arbitrate", "release",
 	}},

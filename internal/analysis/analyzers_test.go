@@ -81,6 +81,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.AllocFree, "busarb/internal/topo", true},
 		{analysis.AllocFree, "busarb/internal/arbd", false},
 		{analysis.AllocFree, "busarb/internal/sim", true},
+		{analysis.AllocFree, "busarb/internal/bussim", true},
 		{analysis.AllocFree, "busarb/internal/core", true},
 		{analysis.GoroLeak, "busarb/internal/arbd", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/cluster", true},

@@ -35,3 +35,38 @@ func TestNilObserverSteadyStateAllocs(t *testing.T) {
 			"the nil-Observer per-event path must be allocation-free", base, doubled)
 	}
 }
+
+// TestRunAllocsFlatInN pins that Run sizes its set-up once: the event
+// heap is grown to the N think times before they are scheduled, and the
+// agents and their request-time rings each come from one slab, so a
+// run's allocation count is the same at every N.
+func TestRunAllocsFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds a few mallocs per run; the exact pin runs in the non-race suite")
+	}
+	for _, name := range []string{"RR1", "FCFS2"} {
+		f, err := core.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := []int{4, 64, 1024}
+		allocs := make([]float64, len(ns))
+		for i, n := range ns {
+			cfg := Config{
+				N:        n,
+				Protocol: f,
+				Inter:    UniformLoad(n, 1.5, 1.0, 1.0),
+				Seed:     5,
+				Batches:  2, BatchSize: 200,
+			}
+			allocs[i] = testing.AllocsPerRun(3, func() { Run(cfg) })
+		}
+		for i := range ns {
+			if allocs[i] != allocs[0] {
+				t.Errorf("%s: Run allocates %v times at n=%v; want one count at every n",
+					name, allocs, ns)
+				break
+			}
+		}
+	}
+}

@@ -260,24 +260,19 @@ func (r *Result) ThroughputRatio(a, b int) stats.Estimate {
 	return stats.RatioOfBatches(r.AgentBatches[a-1], r.AgentBatches[b-1])
 }
 
+// agentState holds no pointers, so the collector never scans the
+// agents slab: an agent's think-time sampler is read from Config.Inter
+// or Config.Sources by its id.
 type agentState struct {
-	id int
-	// Exactly one of inter and think is set (Config.Inter or
-	// Config.Sources).
-	inter      dist.Sampler
-	think      ThinkSource
+	id         int
 	src        rng.Source
 	urgentProb float64
 	urgent     bool
-	// genTimes[genHead:] is the FIFO of generation times of requests not
-	// yet in service; the agent is "waiting" (asserting the request
-	// line) while it is non-empty. The head index (rather than
-	// reslicing from the front) lets the backing array be reused: when
-	// the queue drains, both reset to zero and the capacity is kept.
-	// With Window == 1 the queue never holds more than one request, and
-	// every agent's one slot comes from a single slab.
-	genTimes []float64
-	genHead  int
+	// The FIFO of generation times of requests not yet in service: a
+	// ring of Window slots in system.genTimes, queued of them in use
+	// from head on. The agent is "waiting" (asserting the request line)
+	// while it is non-empty.
+	head, queued int
 	// curGenTime is the generation time of the request in service.
 	curGenTime float64
 	// curDur is the in-flight transaction's duration, consumed by the
@@ -290,7 +285,7 @@ type agentState struct {
 	genBlocked bool
 }
 
-func (a *agentState) waiting() bool { return len(a.genTimes) > a.genHead }
+func (a *agentState) waiting() bool { return a.queued > 0 }
 
 // The simulator's event kinds. An agent has at most one think time and
 // one transaction pending (one interrequest clock, one bus), and one
@@ -312,6 +307,9 @@ type system struct {
 	sched  sim.Scheduler
 	tree   *topo.Tree   // non-nil iff cfg.Topology is set
 	agents []agentState // index by id (0 unused)
+	// genTimes holds every agent's request-time ring: agent id's is
+	// genTimes[(id-1)*Window : id*Window].
+	genTimes []float64
 	// bus is the §4.1 controller: agent i's line is up while it has a
 	// request not yet in service.
 	bus busctl.Controller
@@ -499,22 +497,13 @@ func Run(cfg Config) *Result {
 	master := rng.New(cfg.Seed)
 	s.serviceSrc = master.Split()
 	s.agents = make([]agentState, cfg.N+1)
-	var slots []float64
-	if cfg.Window == 1 {
-		slots = make([]float64, cfg.N+1)
-	}
+	s.genTimes = make([]float64, cfg.N*cfg.Window)
+	// The heap holds only the agents' think times, at most one each.
+	s.sched.Grow(cfg.N)
 	for id := 1; id <= cfg.N; id++ {
 		a := &s.agents[id]
 		a.id = id
-		if cfg.Sources != nil {
-			a.think = cfg.Sources[id-1]
-		} else {
-			a.inter = cfg.Inter[id-1]
-		}
 		master.SplitInto(&a.src)
-		if slots != nil {
-			a.genTimes = slots[id : id : id+1]
-		}
 		if cfg.UrgentProb != nil {
 			a.urgentProb = cfg.UrgentProb[id-1]
 		}
@@ -550,10 +539,10 @@ func Run(cfg Config) *Result {
 
 func (s *system) scheduleNextRequest(a *agentState) {
 	var d float64
-	if a.think != nil {
-		d = a.think.NextThink(&a.src)
+	if s.cfg.Sources != nil {
+		d = s.cfg.Sources[a.id-1].NextThink(&a.src)
 	} else {
-		d = a.inter.Sample(&a.src)
+		d = s.cfg.Inter[a.id-1].Sample(&a.src)
 	}
 	if d < 0 {
 		panic(fmt.Sprintf("bussim: agent %d produced negative think time %v", a.id, d))
@@ -566,7 +555,12 @@ func (s *system) requestArrives(a *agentState) {
 		panic("bussim: agent exceeded its request window")
 	}
 	a.outstanding++
-	a.genTimes = append(a.genTimes, s.sched.Now())
+	tail := a.head + a.queued
+	if tail >= s.cfg.Window {
+		tail -= s.cfg.Window
+	}
+	s.genTimes[(a.id-1)*s.cfg.Window+tail] = s.sched.Now()
+	a.queued++
 	a.urgent = a.urgentProb > 0 && a.src.Float64() < a.urgentProb
 	// The interrequest clock runs only while the window has room.
 	if a.outstanding < s.cfg.Window {
@@ -589,6 +583,8 @@ func (s *system) follow(act busctl.Action, w int) {
 
 // carry times the resolve of an arbitration or a repass, or starts the
 // winner's transaction.
+//
+//arblint:alloc the ArbitrationStart competitor list, made only when an Observer is set
 func (s *system) carry(act busctl.Action, w int) {
 	switch act {
 	case busctl.Arbitrate:
@@ -641,11 +637,10 @@ func (s *system) resolveArbitration() {
 func (s *system) startService(id int) {
 	a := &s.agents[id]
 	// The oldest queued request enters service.
-	a.curGenTime = a.genTimes[a.genHead]
-	a.genHead++
-	if !a.waiting() {
-		a.genTimes = a.genTimes[:0]
-		a.genHead = 0
+	a.curGenTime = s.genTimes[(id-1)*s.cfg.Window+a.head]
+	a.queued--
+	if a.head++; a.head == s.cfg.Window {
+		a.head = 0
 	}
 	act := s.bus.TenureStart(id, s.sched.Now(), a.waiting())
 	s.emit(obs.Event{Time: s.sched.Now(), Kind: obs.ServiceStart, Agent: id})
@@ -689,10 +684,14 @@ func (s *system) recordCompletion(a *agentState, wait, dur float64) {
 	s.batchBusy += dur
 	s.res.WaitPooled.Add(wait)
 	s.res.AgentWait[a.id-1].Add(wait)
-	if a.urgent {
-		s.res.WaitUrgent.Add(wait)
-	} else {
-		s.res.WaitNormal.Add(wait)
+	// Without UrgentProb every request is normal, and finish copies
+	// WaitPooled into WaitNormal.
+	if s.cfg.UrgentProb != nil {
+		if a.urgent {
+			s.res.WaitUrgent.Add(wait)
+		} else {
+			s.res.WaitNormal.Add(wait)
+		}
 	}
 	s.batchWait.Add(wait)
 	s.batchAgentCnt[a.id]++
@@ -737,6 +736,9 @@ func (s *system) finish() {
 	r.WallTime = s.sched.Now()
 	r.AgentBatches = s.agentBatches
 	r.Arbitrations, r.Repasses, r.ExposedArbs = s.bus.Arbitrations, s.bus.Repasses, s.bus.Exposed
+	if s.cfg.UrgentProb == nil {
+		r.WaitNormal = r.WaitPooled
+	}
 
 	// Total throughput per batch is the sum of agent throughputs.
 	nb := len(s.waitBatchMeans)

@@ -13,7 +13,15 @@
 // heap over a slice of event structs (container/heap would box every
 // element through interface{}); scheduling is allocation free once the
 // backing array has grown to its steady-state capacity (Next never
-// frees).
+// frees), and a simulator that knows that capacity sizes it once with
+// Grow.
+//
+// The sift-down picks the earlier child without a branch: earlier
+// compares (time, seq) as one 128-bit key and returns 0 or 1, which is
+// added to the left child's index. Comparing a time's bits is exact
+// because At stores no negative time (it stores −0 as +0), and
+// non-negative floats order as their bit patterns do.
+// docs/ARCHITECTURE.md records the heap shapes measured.
 //
 // A simulator may declare a kind solo (Solo): at most one event of that
 // kind is ever pending, like a bus's one transaction end or its one
@@ -65,13 +73,19 @@ type event struct {
 	arg  int32
 }
 
-// before is the queue order: earlier time first, then schedule order.
-func (e *event) before(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	return e.seq < o.seq
+// earlier is the queue order, 1 if e pops before o and 0 if not:
+// earlier time first, then schedule order. Chaining bits.Sub64's borrow
+// from seq into the times' bits compares (time, seq) as one 128-bit key
+// with no branch, so the sift-down's pick between two random times
+// costs no mispredicted branch.
+func earlier(e, o *event) int {
+	_, borrow := bits.Sub64(e.seq, o.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(e.time), math.Float64bits(o.time), borrow)
+	return int(borrow)
 }
+
+// before reports whether e pops before o.
+func (e *event) before(o *event) bool { return earlier(e, o) != 0 }
 
 // push adds e to the heap (sift-up).
 func (s *Scheduler) push(e event) {
@@ -93,7 +107,9 @@ func (s *Scheduler) push(e event) {
 	q[i] = e
 }
 
-// pop removes the minimum event (sift-down).
+// pop removes the minimum event (sift-down). A node whose right child
+// is q[n] compares against last itself, which still sits there;
+// picking it stops the sift, as it must.
 func (s *Scheduler) pop() {
 	s.n--
 	n := s.n
@@ -105,10 +121,7 @@ func (s *Scheduler) pop() {
 		if l >= n {
 			break
 		}
-		child := l
-		if r := l + 1; r < n && q[r].before(&q[l]) {
-			child = r
-		}
+		child := l + earlier(&q[l+1], &q[l])
 		if !q[child].before(&last) {
 			break
 		}
@@ -164,6 +177,17 @@ func (s *Scheduler) Solo(kinds ...Kind) {
 	}
 }
 
+// Grow makes room in the heap for n more events, so that scheduling
+// them allocates nothing. A simulator that knows its heap's size sizes
+// it once with Grow instead of letting push regrow it from empty.
+func (s *Scheduler) Grow(n int) {
+	if need := s.n + n; need > len(s.queue) {
+		q := make([]event, need)
+		copy(q, s.queue[:s.n])
+		s.queue = q
+	}
+}
+
 // Now returns the current simulation time.
 func (s *Scheduler) Now() float64 { return s.now }
 
@@ -180,7 +204,9 @@ func (s *Scheduler) At(t float64, kind Kind, arg int) {
 	if int(int32(arg)) != arg {
 		panic(fmt.Sprintf("sim: event argument %d overflows int32", arg))
 	}
-	e := event{time: t, seq: s.seq, kind: kind, arg: int32(arg)}
+	// Adding +0 turns −0 into +0 and leaves every other time as it is;
+	// −0's bits would order it after +Inf.
+	e := event{time: t + 0, seq: s.seq, kind: kind, arg: int32(arg)}
 	if s.solo>>kind&1 != 0 {
 		s.arm(e)
 	} else {
