@@ -2,190 +2,79 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/mux"
 )
 
-// binaryTransport speaks the daemon's binary protocol (docs/WIRE.md):
-// one persistent TCP connection carrying length-prefixed frames, with
-// every in-flight call correlated by ID so any number of logical
-// agents multiplex over it. The connection is dialed eagerly by Dial
-// and redialed transparently if it tears; calls in flight when it
-// tears fail with the connection's error.
+// binaryTransport speaks the daemon's binary protocol (docs/WIRE.md)
+// over one mux.Conn: a persistent TCP connection, dialed eagerly by
+// Dial and redialed transparently if it tears, on which every call is
+// correlated by ID so any number of logical agents multiplex over it.
+// What the transport adds is the retry policy, the owner hints and the
+// mapping of replies onto Lease and the error taxonomy.
 type binaryTransport struct {
-	addr        string
-	dialTimeout time.Duration
-	retry       *retryPolicy
+	conn  *mux.Conn
+	retry *retryPolicy
 	// onOwnerHint, when set (DialCluster), receives the owner hints a
 	// cluster node attaches to relayed responses (docs/WIRE.md routed
 	// frames): this resource's owner listens at addr. Called from the
-	// read loop without t.mu held; set before the first read loop
-	// starts and immutable after.
+	// connection's reader; immutable after construction.
 	onOwnerHint func(resource, addr string)
-
-	mu      sync.Mutex
-	conn    net.Conn                // guarded by mu; nil between teardown and redial
-	w       *codec.Writer           // guarded by mu; writes serialized under it
-	corr    uint64                  // guarded by mu
-	pending map[uint64]chan outcome // guarded by mu
-	closed  bool                    // guarded by mu
-}
-
-// outcome resolves one correlated call.
-type outcome struct {
-	lease Lease // valid for acquire grants
-	err   error
 }
 
 func newBinaryTransport(addr string, o options, onOwnerHint func(resource, addr string)) (*binaryTransport, error) {
-	t := &binaryTransport{
-		addr:        addr,
-		dialTimeout: o.dialTimeout,
-		retry:       newRetryPolicy(o),
-		onOwnerHint: onOwnerHint,
-		pending:     make(map[uint64]chan outcome),
+	t := &binaryTransport{retry: newRetryPolicy(o), onOwnerHint: onOwnerHint}
+	var onReply func(*codec.Frame)
+	if onOwnerHint != nil {
+		onReply = t.noteOwnerHint
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ensureConnLocked(); err != nil {
-		return nil, err
+	t.conn = mux.New(addr, addr, o.dialTimeout, onReply)
+	if err := t.conn.Dial(); err != nil {
+		return nil, connError(err)
 	}
 	return t, nil
 }
 
-// ensureConnLocked dials if the connection is down and starts its
-// reader. Callers hold t.mu.
-func (t *binaryTransport) ensureConnLocked() error {
-	if t.closed {
+// call writes one frame and waits for its correlated reply, mapped
+// onto the error taxonomy.
+func (t *binaryTransport) call(ctx context.Context, f *codec.Frame) (mux.Reply, error) {
+	rep, err := t.conn.Call(ctx, f)
+	switch {
+	case err == nil && rep.Type == codec.TError:
+		return rep, &Error{Code: rep.Code, Msg: rep.Msg}
+	case err == nil:
+		return rep, nil
+	case err == ctx.Err():
+		return rep, &Error{Code: 408, Msg: "client: context done before response: " + err.Error()}
+	}
+	return rep, connError(err)
+}
+
+// connError maps a call that got no reply: ErrClosed after Close; a
+// transient error when the dial or the write failed, since nothing
+// reached the daemon and retrying cannot double-acquire; otherwise
+// the error that tore the connection.
+func connError(err error) error {
+	if err == mux.ErrClosed {
 		return ErrClosed
 	}
-	if t.conn != nil {
-		return nil
+	err = fmt.Errorf("client: %w", err)
+	var se *mux.SendError
+	if errors.As(err, &se) {
+		return &transientError{err}
 	}
-	conn, err := net.DialTimeout("tcp", t.addr, t.dialTimeout)
-	if err != nil {
-		// Transient: nothing reached the wire, so the retry policy may
-		// redial.
-		return &transientError{fmt.Errorf("client: dial %s: %w", t.addr, err)}
-	}
-	t.conn = conn
-	t.w = codec.NewWriter(conn)
-	// The read loop's shutdown signal is the connection itself: close()
-	// closes conn, the blocked Next fails, and readLoop tears down and
-	// returns. No WaitGroup or done channel exists to tie it to.
-	//arblint:allow goroleak
-	go t.readLoop(conn)
-	return nil
+	return err
 }
 
-// readLoop owns conn's read side: it resolves correlated calls until
-// the connection ends, then fails whatever is still in flight.
-func (t *binaryTransport) readLoop(conn net.Conn) {
-	r := codec.NewReader(conn)
-	var f codec.Frame
-	for {
-		if err := r.Next(&f); err != nil {
-			t.teardown(conn, fmt.Errorf("client: connection to %s lost: %w", t.addr, err))
-			return
-		}
-		var out outcome
-		switch f.Type {
-		case codec.TGrant:
-			out.lease = Lease{
-				Resource: string(f.Resource),
-				Agent:    int(f.Agent),
-				Token:    string(f.Token),
-				TTL:      time.Duration(f.TTLNS),
-			}
-			t.noteOwnerHint(&f)
-		case codec.TReleased:
-			// success, zero outcome
-			t.noteOwnerHint(&f)
-		case codec.TError:
-			out.err = &Error{Code: int(f.Code), Msg: string(f.Msg)}
-		default:
-			// A frame type we never ask for: protocol skew. Drop the
-			// connection rather than guess.
-			t.teardown(conn, fmt.Errorf("client: unexpected %v frame from %s", f.Type, t.addr))
-			return
-		}
-		t.mu.Lock()
-		ch, ok := t.pending[f.Corr]
-		if ok {
-			delete(t.pending, f.Corr)
-		}
-		t.mu.Unlock()
-		if ok {
-			ch <- out // buffered; never blocks
-		}
-		// An unmatched correlation ID is a response to a call whose
-		// context was abandoned; its lease (if any) lapses at TTL.
-	}
-}
-
-// teardown retires a torn connection and fails its in-flight calls.
-func (t *binaryTransport) teardown(conn net.Conn, err error) {
-	conn.Close()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == conn {
-		t.conn = nil
-		t.w = nil
-	}
-	if t.closed {
-		err = ErrClosed
-	}
-	for corr, ch := range t.pending {
-		delete(t.pending, corr)
-		ch <- outcome{err: err}
-	}
-}
-
-// call writes one frame and waits for its correlated response.
-func (t *binaryTransport) call(ctx context.Context, f *codec.Frame) (Lease, error) {
-	t.mu.Lock()
-	if err := t.ensureConnLocked(); err != nil {
-		t.mu.Unlock()
-		return Lease{}, err
-	}
-	t.corr++
-	corr := t.corr
-	f.Corr = corr
-	ch := make(chan outcome, 1)
-	t.pending[corr] = ch
-	err := t.w.WriteFrame(f)
-	t.mu.Unlock()
-	if err != nil {
-		// The reader's teardown will (or already did) fail ch; prefer
-		// the write error for this caller. Transient: a failed write
-		// never reached the daemon, so retrying cannot double-acquire.
-		t.forget(corr)
-		return Lease{}, &transientError{fmt.Errorf("client: write to %s: %w", t.addr, err)}
-	}
-	select {
-	case out := <-ch:
-		return out.lease, out.err
-	case <-ctx.Done():
-		t.forget(corr)
-		return Lease{}, &Error{Code: 408, Msg: "client: context done before response: " + ctx.Err().Error()}
-	}
-}
-
-// forget abandons a pending correlation ID.
-func (t *binaryTransport) forget(corr uint64) {
-	t.mu.Lock()
-	delete(t.pending, corr)
-	t.mu.Unlock()
-}
-
-// noteOwnerHint surfaces a routed response's owner hint to the
-// cluster transport, if one is listening.
+// noteOwnerHint surfaces a routed grant's or release's owner hint to
+// the cluster transport. It runs in the connection's reader, so the
+// replies to abandoned calls teach placement too.
 func (t *binaryTransport) noteOwnerHint(f *codec.Frame) {
-	if t.onOwnerHint == nil || f.Flags&codec.FlagRouted == 0 {
+	if f.Type == codec.TError || f.Flags&codec.FlagRouted == 0 {
 		return
 	}
 	if _, _, addr, ok := codec.ParseOwnerRoute(f.Route); ok && len(addr) > 0 {
@@ -212,7 +101,13 @@ func (t *binaryTransport) acquire(ctx context.Context, resource string, agent in
 		TTLNS:     int64(opts.TTL),
 		Resource:  []byte(resource),
 	}
-	return t.retry.run(ctx, func() (Lease, error) { return t.call(ctx, &f) })
+	return t.retry.run(ctx, func() (Lease, error) {
+		rep, err := t.call(ctx, &f)
+		if err != nil {
+			return Lease{}, err
+		}
+		return Lease{Resource: resource, Agent: int(rep.Agent), Token: rep.Token, TTL: rep.TTL}, nil
+	})
 }
 
 func (t *binaryTransport) release(ctx context.Context, resource, token string) error {
@@ -221,22 +116,16 @@ func (t *binaryTransport) release(ctx context.Context, resource, token string) e
 		Resource: []byte(resource),
 		Token:    []byte(token),
 	}
-	_, err := t.retry.run(ctx, func() (Lease, error) { return t.call(ctx, &f) })
+	_, err := t.retry.run(ctx, func() (Lease, error) {
+		_, err := t.call(ctx, &f)
+		return Lease{}, err
+	})
 	return err
 }
 
+// close closes the connection and waits for its reader; in-flight
+// calls fail with ErrClosed.
 func (t *binaryTransport) close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	conn := t.conn
-	t.mu.Unlock()
-	if conn != nil {
-		// The reader's teardown fails in-flight calls with ErrClosed.
-		conn.Close()
-	}
+	t.conn.Close()
 	return nil
 }

@@ -209,15 +209,20 @@ func (ct *clusterTransport) conn(addr string) (*binaryTransport, error) {
 	defer close(mc.ready)
 	bt, err := newBinaryTransport(addr, ct.opts, ct.learn)
 	ct.mu.Lock()
-	defer ct.mu.Unlock()
+	var late *binaryTransport
 	if err == nil && ct.closed {
-		bt.close()
-		bt, err = nil, ErrClosed
+		late, bt, err = bt, nil, ErrClosed
 	}
 	if err != nil {
 		delete(ct.conns, addr)
 	}
 	mc.bt, mc.err = bt, err
+	ct.mu.Unlock()
+	if late != nil {
+		// Closed outside ct.mu: close waits for the reader, and the
+		// reader's owner hints take ct.mu.
+		late.close()
+	}
 	return bt, err
 }
 

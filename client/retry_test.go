@@ -112,17 +112,12 @@ func (s *fakeServer) stop() {
 }
 
 // waitTorn blocks until the transport's read loop has retired the
-// dead connection (conn nil under the lock).
+// dead connection: with the server stopped, Dial then has to redial,
+// and the redial is refused.
 func waitTorn(t *testing.T, bt *binaryTransport) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		bt.mu.Lock()
-		torn := bt.conn == nil
-		bt.mu.Unlock()
-		if torn {
-			return
-		}
+	for bt.conn.Dial() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("transport never noticed the torn connection")
 		}

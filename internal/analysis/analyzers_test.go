@@ -60,6 +60,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.Determinism, "busarb/internal/arbd", false},
 		{analysis.Determinism, "busarb/internal/arbd/codec", true},
 		{analysis.Determinism, "busarb/internal/arbd/cluster", true},
+		{analysis.Determinism, "busarb/internal/arbd/mux", true},
 		{analysis.Determinism, "busarb/internal/topo", true},
 		{analysis.NilProbe, "busarb/internal/topo", true},
 		{analysis.NilProbe, "busarb/internal/busctl", true},
@@ -85,6 +86,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.AllocFree, "busarb/internal/core", true},
 		{analysis.GoroLeak, "busarb/internal/arbd", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/cluster", true},
+		{analysis.GoroLeak, "busarb/internal/arbd/mux", true},
 		{analysis.GoroLeak, "busarb/client", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/codec", false},
 		{analysis.GoroLeak, "busarb/internal/sim", false},

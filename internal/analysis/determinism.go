@@ -40,10 +40,15 @@ var simPackagePaths = []string{
 	"internal/arbd/codec",
 	// The cluster layer's ring must place resources identically on
 	// every node with no coordination — nondeterministic placement is
-	// split-brain. The wall-clock forward-latency metric and the
-	// order-insensitive failing of torn forwards carry the package's
-	// //arblint:allow determinism comments.
+	// split-brain. The wall-clock forward-latency metric carries the
+	// package's //arblint:allow determinism comment.
 	"internal/arbd/cluster",
+	// The calling side's connection, under the client and the cluster
+	// forwarder alike: it matches replies by correlation ID, never by
+	// clock or chance. The order-insensitive failing of a torn
+	// connection's calls carries its //arblint:allow determinism
+	// comment.
+	"internal/arbd/mux",
 }
 
 func isSimPackage(path string) bool {

@@ -24,13 +24,12 @@ import (
 //     closed by its spawner). A bare blocking receive does not count:
 //     joining is not a shutdown signal — that is the WaitGroup's job.
 //
-// Anything else needs an //arblint:allow goroleak with a justification
-// (busarb/client's readLoop, whose shutdown signal is the connection
-// close itself, carries the one legitimate example).
+// Anything else needs an //arblint:allow goroleak with a justification.
 //
-// The analyzer binds in internal/arbd, its cluster layer, and the
-// public client package — the long-lived processes. Simulators are
-// synchronous by design and out of scope.
+// The analyzer binds in internal/arbd, its cluster layer, the calling
+// side's connection (internal/arbd/mux) and the public client package
+// — the long-lived processes. Simulators are synchronous by design and
+// out of scope.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc: "every go statement in the daemon and client must be tied to a shutdown " +
@@ -43,6 +42,7 @@ var GoroLeak = &Analyzer{
 func goroLeakApplies(pkgPath string) bool {
 	return pathHasSuffix(pkgPath, "internal/arbd") ||
 		pathHasSuffix(pkgPath, "internal/arbd/cluster") ||
+		pathHasSuffix(pkgPath, "internal/arbd/mux") ||
 		pathHasSuffix(pkgPath, "client")
 }
 

@@ -202,7 +202,8 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 				routed:   f.Flags&codec.FlagRouted != 0,
 			}
 			if s.router != nil && !s.router.Owns(req.resource) {
-				s.forward(ctx, &acquires, responses, codec.TAcquire, ForwardFrame{
+				s.forward(ctx, &acquires, responses, ForwardFrame{
+					Type:     codec.TAcquire,
 					Resource: req.resource,
 					Agent:    req.agent,
 					Timeout:  req.timeout,
@@ -226,7 +227,8 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 				// local path it runs in its own goroutine (joining the
 				// acquires group): release→response ordering is per-node,
 				// not preserved across a hop.
-				s.forward(ctx, &acquires, responses, codec.TRelease, ForwardFrame{
+				s.forward(ctx, &acquires, responses, ForwardFrame{
+					Type:     codec.TRelease,
 					Resource: resource,
 					Token:    string(f.Token),
 					Corr:     corr,
@@ -298,27 +300,23 @@ func (s *BinaryServer) handleAcquire(ctx context.Context, responses chan<- respo
 // (joining the connection's acquires group — Close semantics are
 // identical to a blocked local acquire) and queues the router's
 // terminal reply, always under FlagRouted with the router's owner
-// hint in the route field.
-func (s *BinaryServer) forward(ctx context.Context, acquires *sync.WaitGroup, responses chan<- response, t codec.Type, ff ForwardFrame) {
+// hint in the route field. The reply goes out under the client's own
+// correlation ID and resource, which the hop does not carry back.
+func (s *BinaryServer) forward(ctx context.Context, acquires *sync.WaitGroup, responses chan<- response, ff ForwardFrame) {
 	acquires.Add(1)
 	go func() {
 		defer acquires.Done()
-		var rep ForwardReply
-		if t == codec.TAcquire {
-			rep = s.router.ForwardAcquire(ctx, ff)
-		} else {
-			rep = s.router.ForwardRelease(ctx, ff)
-		}
+		rep := s.router.Forward(ctx, ff)
 		s.enqueue(responses, response{
 			frame: codec.Frame{
 				Type:  rep.Type,
 				Flags: codec.FlagRouted,
 				Corr:  ff.Corr,
-				Agent: uint32(rep.Agent),
+				Agent: rep.Agent,
 				TTLNS: int64(rep.TTL),
 				Code:  uint16(rep.Code),
 			},
-			resource: rep.Resource,
+			resource: ff.Resource,
 			token:    rep.Token,
 			msg:      rep.Msg,
 			route:    string(rep.Route),

@@ -32,6 +32,7 @@ import (
 
 	"busarb/internal/arbd"
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/mux"
 )
 
 // Member is one node of the cluster: a stable name (the ring hashes
@@ -43,9 +44,11 @@ type Member struct {
 }
 
 // Config describes one node's view of the cluster. Every member must
-// be configured with the same Members, Resources, VNodes and Seed —
-// the ring is computed, not negotiated, so agreement is a deployment
-// invariant (clusterz exists to audit it).
+// be configured with the same Members, Resources and Seed — the ring
+// is computed, not negotiated, so agreement is a deployment invariant
+// (clusterz exists to audit it). Every ring has DefaultVNodes points
+// per member, and every frame may cross at most codec.RouteHopLimit
+// nodes (docs/WIRE.md).
 type Config struct {
 	// Self names this node; it must appear in Members.
 	Self string
@@ -54,20 +57,11 @@ type Config struct {
 	// Resources is the full cluster-wide resource list. The ring
 	// decides which subset this node's daemon actually runs.
 	Resources []arbd.ResourceConfig
-	// VNodes is the ring's per-member virtual node count (0 means
-	// DefaultVNodes).
-	VNodes int
 	// Seed perturbs the ring's placement hash.
 	Seed uint64
 	// MaxInflight bounds in-flight forwards per peer (the forward
 	// queue); beyond it forwards fail fast with 503. 0 means 256.
 	MaxInflight int
-	// HopLimit bounds how many nodes a frame may cross; a frame that
-	// would exceed it answers 503 instead of bouncing further. 0 means
-	// codec.RouteHopLimit.
-	HopLimit int
-	// DialTimeout bounds each inter-node dial. 0 means 2s.
-	DialTimeout time.Duration
 }
 
 // Validate checks the configuration; New returns exactly these errors.
@@ -98,34 +92,16 @@ func (cfg Config) Validate() error {
 	if !selfSeen {
 		return fmt.Errorf("cluster: Self %q not in Members", cfg.Self)
 	}
-	if cfg.VNodes < 0 {
-		return fmt.Errorf("cluster: negative VNodes %d", cfg.VNodes)
-	}
 	if cfg.MaxInflight < 0 {
 		return fmt.Errorf("cluster: negative MaxInflight %d", cfg.MaxInflight)
-	}
-	if cfg.HopLimit < 0 {
-		return fmt.Errorf("cluster: negative HopLimit %d", cfg.HopLimit)
-	}
-	if cfg.DialTimeout < 0 {
-		return fmt.Errorf("cluster: negative DialTimeout %v", cfg.DialTimeout)
 	}
 	return nil
 }
 
 // withDefaults returns cfg with zero fields filled in.
 func (cfg Config) withDefaults() Config {
-	if cfg.VNodes == 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 256
-	}
-	if cfg.HopLimit == 0 {
-		cfg.HopLimit = codec.RouteHopLimit
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	return cfg
 }
@@ -167,7 +143,7 @@ func New(cfg Config) (*Node, error) {
 	for _, m := range cfg.Members {
 		names = append(names, m.Name)
 	}
-	ring, err := NewRing(names, cfg.VNodes, cfg.Seed)
+	ring, err := NewRing(names, DefaultVNodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +173,7 @@ func New(cfg Config) (*Node, error) {
 			n.self = m
 			continue
 		}
-		n.peers[m.Name] = newPeer(m.Name, m.Addr, cfg.MaxInflight, cfg.DialTimeout)
+		n.peers[m.Name] = newPeer(m.Name, m.Addr, cfg.MaxInflight)
 		n.peerNames = append(n.peerNames, m.Name)
 	}
 	sort.Strings(n.peerNames)
@@ -221,7 +197,7 @@ func (n *Node) Serve(ln net.Listener) error { return n.server.Serve(ln) }
 func (n *Node) Close() error {
 	err := n.server.Close()
 	for _, name := range n.peerNames {
-		n.peers[name].close()
+		n.peers[name].conn.Close()
 	}
 	n.daemon.Close()
 	return err
@@ -261,11 +237,12 @@ func (n *Node) Owns(resource string) bool {
 	return !ok || owner == n.cfg.Self
 }
 
-// ForwardAcquire proxies an acquire to the owner: stamp or advance
-// the route field, decrement the deadline for the hop, push the frame
-// down the owner's pooled connection, and relay the terminal answer
-// with an owner hint attached.
-func (n *Node) ForwardAcquire(ctx context.Context, f arbd.ForwardFrame) arbd.ForwardReply {
+// Forward proxies an acquire or a release to the owner: stamp or
+// advance the route field, decrement an acquire's deadline for the
+// hop, push the frame down the owner's pooled connection, and relay
+// the terminal answer with an owner hint attached. Each frame type
+// encodes only its own fields, so one frame serves both verbs.
+func (n *Node) Forward(ctx context.Context, f arbd.ForwardFrame) mux.Reply {
 	start := time.Now() //arblint:allow determinism forward latency is an operational metric, not simulation output
 	timeout := f.Timeout
 	if timeout > 0 {
@@ -276,36 +253,23 @@ func (n *Node) ForwardAcquire(ctx context.Context, f arbd.ForwardFrame) arbd.For
 		timeout -= timeout / 8
 	}
 	rep, ok := n.forward(ctx, f, &codec.Frame{
-		Type:      codec.TAcquire,
+		Type:      f.Type,
 		Flags:     codec.FlagRouted,
 		Agent:     uint32(f.Agent),
 		TimeoutNS: int64(timeout),
 		TTLNS:     int64(f.TTL),
 		Resource:  []byte(f.Resource),
+		Token:     []byte(f.Token),
 	})
 	n.fwd.record(time.Since(start), rep.Type == codec.TError, ok)
 	return rep
 }
 
-// ForwardRelease proxies a release to the owner.
-func (n *Node) ForwardRelease(ctx context.Context, f arbd.ForwardFrame) arbd.ForwardReply {
-	start := time.Now() //arblint:allow determinism forward latency is an operational metric, not simulation output
-	rep, ok := n.forward(ctx, f, &codec.Frame{
-		Type:     codec.TRelease,
-		Flags:    codec.FlagRouted,
-		Resource: []byte(f.Resource),
-		Token:    []byte(f.Token),
-	})
-	n.fwd.record(time.Since(start), rep.Type == codec.TError, ok)
-	return rep
-}
-
-// forward finishes route handling common to both verbs and performs
-// the hop. ok reports whether the frame actually crossed the wire
+// forward finishes route handling and performs the hop. ok reports whether the frame actually crossed the wire
 // (local failures — hop limit, bad route, full queue — don't count as
 // forward latency samples). The reply always carries the owner-hint
 // route for the response relay.
-func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Frame) (arbd.ForwardReply, bool) {
+func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Frame) (mux.Reply, bool) {
 	var hops uint8
 	origin := []byte(n.cfg.Self)
 	corr := f.Corr
@@ -316,14 +280,14 @@ func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Fra
 		// and error beats orbit.
 		h, o, c, ok := codec.ParseRequestRoute(f.Route)
 		if !ok {
-			return n.hint(f.Resource, arbd.ErrorReply(400, "cluster: malformed route field"), 0), false
+			return n.hint(f.Resource, mux.ErrorReply(400, "cluster: malformed route field"), 0), false
 		}
 		hops, origin, corr = h, o, c
 	}
 	hops++
-	if int(hops) > n.cfg.HopLimit {
-		return n.hint(f.Resource, arbd.ErrorReply(503, fmt.Sprintf(
-			"cluster: hop limit %d exceeded for %q (ring disagreement?)", n.cfg.HopLimit, f.Resource)), hops), false
+	if hops > codec.RouteHopLimit {
+		return n.hint(f.Resource, mux.ErrorReply(503, fmt.Sprintf(
+			"cluster: hop limit %d exceeded for %q (ring disagreement?)", codec.RouteHopLimit, f.Resource)), hops), false
 	}
 	wire.Route = codec.AppendRequestRoute(nil, hops, origin, corr)
 
@@ -332,7 +296,7 @@ func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Fra
 	if p == nil {
 		// Owns() said foreign, so the owner must be a peer; a miss here
 		// is a programming error upstream, answered not crashed.
-		return n.hint(f.Resource, arbd.ErrorReply(503, fmt.Sprintf("cluster: no peer for owner %q", owner)), hops), false
+		return n.hint(f.Resource, mux.ErrorReply(503, fmt.Sprintf("cluster: no peer for owner %q", owner)), hops), false
 	}
 	rep, crossed := p.call(ctx, wire)
 	return n.hint(f.Resource, rep, hops), crossed
@@ -342,7 +306,7 @@ func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Fra
 // origin client (codec.AppendOwnerRoute layout): which member owns
 // resource and where its binary listener is, so topology-aware
 // clients stop needing the forward.
-func (n *Node) hint(resource string, rep arbd.ForwardReply, hops uint8) arbd.ForwardReply {
+func (n *Node) hint(resource string, rep mux.Reply, hops uint8) mux.Reply {
 	if m, ok := n.Owner(resource); ok {
 		rep.Route = codec.AppendOwnerRoute(nil, hops, []byte(m.Name), []byte(m.Addr))
 	} else {

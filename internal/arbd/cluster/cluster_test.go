@@ -22,6 +22,15 @@ import (
 // tests quick, coarse enough to survive scheduler noise.
 const testTick = 200 * time.Microsecond
 
+// callCtx bounds a test's client calls: a reply the relay loses fails
+// the call within 30s, and the test names it, instead of hanging the
+// package until go test's own timeout.
+func callCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func res(name string, agents int, protocol string) arbd.ResourceConfig {
 	return arbd.ResourceConfig{Name: name, Agents: agents, Protocol: protocol, Tick: testTick}
 }
@@ -111,7 +120,7 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := context.Background()
+	ctx := callCtx(t)
 	foreign := 0
 	for _, rc := range rcs {
 		if !entry.Owns(rc.Name) {
@@ -167,7 +176,7 @@ func TestForwardingEquivalence(t *testing.T) {
 	}
 	defer routed.Close()
 
-	ctx := context.Background()
+	ctx := callCtx(t)
 	dl, err := direct.Acquire(ctx, "bus", 1, client.AcquireOptions{})
 	if err != nil {
 		t.Fatalf("direct acquire: %v", err)
@@ -360,7 +369,7 @@ func TestForwardQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	ctx := context.Background()
+	ctx := callCtx(t)
 	lease, err := holder.Acquire(ctx, "bus", 1, client.AcquireOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -490,11 +499,12 @@ func TestHTTPMisdirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oc.Close()
-	lease, err := oc.Acquire(context.Background(), "bus", 1, client.AcquireOptions{})
+	ctx := callCtx(t)
+	lease, err := oc.Acquire(ctx, "bus", 1, client.AcquireOptions{})
 	if err != nil {
 		t.Fatalf("owner HTTP acquire: %v", err)
 	}
-	if err := oc.Release(context.Background(), lease); err != nil {
+	if err := oc.Release(ctx, lease); err != nil {
 		t.Fatalf("owner HTTP release: %v", err)
 	}
 }
@@ -512,7 +522,7 @@ func TestClusterMetricz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := context.Background()
+	ctx := callCtx(t)
 	lease, err := c.Acquire(ctx, "bus", 1, client.AcquireOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +578,7 @@ func TestClusterCloseLeaksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	ctx := callCtx(t)
 	for _, rc := range rcs {
 		lease, err := c.Acquire(ctx, rc.Name, 1, client.AcquireOptions{})
 		if err != nil {
@@ -606,7 +616,7 @@ func TestDialClusterRouting(t *testing.T) {
 	rcs := []arbd.ResourceConfig{res("bus", 4, "RR1")}
 	tc := startCluster(t, []string{"a", "b", "c"}, rcs, nil)
 	owner := tc.owner(t, "bus")
-	ctx := context.Background()
+	ctx := callCtx(t)
 
 	totalForwards := func() int64 {
 		var sum int64
@@ -695,7 +705,7 @@ func TestDialClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := context.Background()
+	ctx := callCtx(t)
 	lease, err := c.Acquire(ctx, "bus", 1, client.AcquireOptions{})
 	if err != nil {
 		t.Fatalf("acquire through fallback member: %v", err)

@@ -5,20 +5,21 @@ import (
 	"time"
 
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/mux"
 )
 
 // Router is the seam between the binary server and a cluster layer
 // (internal/arbd/cluster). A routed BinaryServer consults it per
 // frame: frames for resources the router owns are handled by the
 // local Daemon exactly as on a standalone server; frames for foreign
-// resources are handed to ForwardAcquire/ForwardRelease, which proxy
-// them to the owning node and return the owner's answer. The server
-// stays transport-mechanical — membership, hop limits, deadline
-// decrements and connection pooling all live behind this interface.
+// resources are handed to Forward, which proxies them to the owning
+// node and returns the owner's answer. The server stays
+// transport-mechanical — membership, hop limits, deadline decrements
+// and connection pooling all live behind this interface.
 //
 // Implementations must be safe for concurrent use: the server calls
-// Owns from every connection's reader goroutine and the Forward
-// methods from per-request goroutines.
+// Owns from every connection's reader goroutine and Forward from
+// per-request goroutines.
 type Router interface {
 	// Owns reports whether the local node is the owner of resource
 	// under the cluster's ring. Unknown resources are "owned" too —
@@ -26,19 +27,19 @@ type Router interface {
 	// layer could.
 	Owns(resource string) bool
 
-	// ForwardAcquire proxies an acquire to the owner and blocks until
-	// the owner answers, the forward fails, or ctx is done. It always
-	// returns a terminal reply (TGrant or TError).
-	ForwardAcquire(ctx context.Context, f ForwardFrame) ForwardReply
-
-	// ForwardRelease proxies a release to the owner. It always returns
-	// a terminal reply (TReleased or TError).
-	ForwardRelease(ctx context.Context, f ForwardFrame) ForwardReply
+	// Forward proxies an acquire or a release to the owner and blocks
+	// until the owner answers, the forward fails, or ctx is done. It
+	// always returns a terminal reply (TGrant, TReleased or TError),
+	// with the owner hint the server relays under FlagRouted in its
+	// Route.
+	Forward(ctx context.Context, f ForwardFrame) mux.Reply
 }
 
 // ForwardFrame is one decoded client request handed to a Router, with
 // owned (not buffer-aliased) fields.
 type ForwardFrame struct {
+	// Type is TAcquire or TRelease.
+	Type     codec.Type
 	Resource string
 	// Agent is the arbitrating identity (acquire only).
 	Agent int
@@ -59,31 +60,4 @@ type ForwardFrame struct {
 	// hop limit instead of stamping a fresh origin.
 	Route  []byte
 	Routed bool
-}
-
-// ForwardReply is a Router's terminal answer, ready to encode as the
-// response to the origin client. Route carries the owner hint
-// (codec.AppendOwnerRoute layout) the server attaches under
-// FlagRouted so clients can learn resource placement lazily.
-type ForwardReply struct {
-	// Type is TGrant, TReleased or TError.
-	Type codec.Type
-	// Agent and TTL populate a TGrant.
-	Agent int
-	TTL   time.Duration
-	// Resource and Token populate TGrant/TReleased frames.
-	Resource string
-	Token    string
-	// Code and Msg populate a TError (the daemon's 400/404/408/503
-	// taxonomy).
-	Code int
-	Msg  string
-	// Route is the owner-hint route field for the response.
-	Route []byte
-}
-
-// ErrorReply builds a TError ForwardReply; routers use it for local
-// forwarding failures (overload, unreachable owner, hop limit).
-func ErrorReply(code int, msg string) ForwardReply {
-	return ForwardReply{Type: codec.TError, Code: code, Msg: msg}
 }

@@ -9,7 +9,7 @@
 // into a high-priority and a low-priority segment (req & thermo and
 // req & ^thermo), each segment is reduced with plain word arithmetic,
 // and the two results are combined — exactly the structure of
-// high-speed parallel RR arbiters. Three layers are provided:
+// high-speed parallel RR arbiters. Two layers are provided:
 //
 //   - Vec: a bitmap over agent identities with word-wise maximum-finding
 //     (Max, MaxBelow, MaxAnd, MaxAndNot). MaxBelow(limit) is the
@@ -20,10 +20,6 @@
 //     (or outside) the batch or inhibit set. And cuts the request
 //     lines down to one class, the urgent lines of the priority
 //     variants.
-//   - Planes: arbitration numbers stored as bit-planes (one Vec-shaped
-//     word row per number bit). Resolve runs one contention pass — the
-//     MSB-first tournament the wired-OR lines settle to — as width
-//     masked AND-reductions over the candidate words.
 //   - Arrivals: the waiting-time counters of both FCFS variants (§3.2),
 //     derived from arrival order instead of stored, and of every
 //     protocol core builds on them: the priority variants of FCFS1 and
@@ -40,10 +36,10 @@
 //
 // Identities are 1..n (identity 0 is reserved to mean "no competitor",
 // §2.1); bit i of the word row carries agent i, so bit 0 is never set.
-// All operations are allocation-free after construction; the packages
-// riding on the kernel (contention, core) keep the boolean wired-OR
-// settle as the oracle and pin bit-identical winner sequences against
-// it.
+// All operations are allocation-free after construction. The general
+// form of one contention pass, arbitration numbers stored as bit-planes
+// and resolved MSB-first, serves no protocol: it lives in contention's
+// tests, held to the boolean wired-OR settle.
 package bitarb
 
 import (
@@ -234,114 +230,4 @@ func (v *Vec) maxMasked(m *Vec, flip uint64) int {
 		}
 	}
 	return -1
-}
-
-// Planes stores one arbitration number per identity as bit-planes:
-// plane b holds, for every identity, bit b of its number. A contention
-// pass over a request bitmap is then a tournament from the most
-// significant plane down — the direct word-parallel analogue of the
-// wired-OR lines settling to the maximum competing number (§2.1).
-type Planes struct {
-	n     int
-	width int
-	plane [][]uint64
-	cand  []uint64 // tournament scratch
-}
-
-// NewPlanes returns a zeroed plane set for identities 1..n and numbers
-// of the given bit width (1..64).
-//
-//arblint:alloc constructor: one plane set per arbiter, at setup
-func NewPlanes(width, n int) *Planes {
-	if width < 1 || width > 64 {
-		panic(fmt.Sprintf("bitarb: plane width %d out of range 1..64", width))
-	}
-	if n < 1 {
-		panic(fmt.Sprintf("bitarb: Planes need at least 1 identity, got %d", n))
-	}
-	p := &Planes{n: n, width: width, cand: make([]uint64, wordsFor(n))}
-	p.plane = make([][]uint64, width)
-	for b := range p.plane {
-		p.plane[b] = make([]uint64, wordsFor(n))
-	}
-	return p
-}
-
-// Width returns the number bit width.
-func (p *Planes) Width() int { return p.width }
-
-// Store writes identity i's arbitration number into the planes,
-// replacing any previous value. The number must fit the plane width.
-func (p *Planes) Store(i int, number uint64) {
-	if i < 1 || i > p.n {
-		panic(fmt.Sprintf("bitarb: identity %d out of range 1..%d", i, p.n))
-	}
-	if number>>uint(p.width) != 0 { // width == 64 shifts to 0: nothing exceeds
-		panic(fmt.Sprintf("bitarb: number %b exceeds %d planes", number, p.width))
-	}
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	for b := 0; b < p.width; b++ {
-		if number&(1<<uint(b)) != 0 {
-			p.plane[b][wi] |= bit
-		} else {
-			p.plane[b][wi] &^= bit
-		}
-	}
-}
-
-// Load returns identity i's stored number.
-func (p *Planes) Load(i int) uint64 {
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	var v uint64
-	for b := 0; b < p.width; b++ {
-		if p.plane[b][wi]&bit != 0 {
-			v |= 1 << uint(b)
-		}
-	}
-	return v
-}
-
-// Resolve runs one contention pass among the identities in req: the
-// winner is the identity applying the maximum stored number, ties
-// broken toward the higher identity (impossible on a real bus, where
-// numbers embed distinct static identities). It returns the winner and
-// the winning number, or (-1, 0) if req is empty — the idle bus, whose
-// winning identity of zero means no agent participated (§3.1).
-//
-// Cost is O(width · words): per plane, one masked AND-reduction over
-// the candidate words — the branch-free segment arithmetic of the
-// parallel RR arbiter generalized to multi-bit numbers.
-func (p *Planes) Resolve(req *Vec) (winner int, number uint64) {
-	if req.n != p.n {
-		panic(fmt.Sprintf("bitarb: Resolve size mismatch: %d != %d", req.n, p.n))
-	}
-	cand := p.cand
-	copy(cand, req.w)
-	var win uint64
-	for b := p.width - 1; b >= 0; b-- {
-		// Candidates applying 1 on this plane knock out the rest —
-		// exactly an arbitration line reading 1 (§2.1).
-		row := p.plane[b]
-		var any uint64
-		for wi, c := range cand {
-			any |= c & row[wi]
-		}
-		if any != 0 {
-			win |= 1 << uint(b)
-			for wi := range cand {
-				cand[wi] &= row[wi]
-			}
-		}
-	}
-	top := -1
-	for wi := len(cand) - 1; wi >= 0; wi-- {
-		if cand[wi] != 0 {
-			top = wi*wordBits + bits.Len64(cand[wi]) - 1
-			break
-		}
-	}
-	if top < 0 {
-		return -1, 0
-	}
-	return top, win
 }

@@ -171,80 +171,6 @@ func TestVecCloneAndCopy(t *testing.T) {
 	}
 }
 
-func TestPlanesStoreLoadResolve(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 129} {
-		for _, width := range []int{1, 7, 64} {
-			p := NewPlanes(width, n)
-			req := NewVec(n)
-			if w, num := p.Resolve(req); w != -1 || num != 0 {
-				t.Fatalf("n=%d width=%d: empty Resolve = (%d, %d)", n, width, w, num)
-			}
-			src := rng.New(uint64(n*100 + width))
-			nums := make([]uint64, n+1)
-			mask := ^uint64(0)
-			if width < 64 {
-				mask = 1<<uint(width) - 1
-			}
-			for i := 1; i <= n; i++ {
-				nums[i] = src.Uint64() & mask
-				p.Store(i, nums[i])
-			}
-			for i := 1; i <= n; i++ {
-				if p.Load(i) != nums[i] {
-					t.Fatalf("n=%d width=%d: Load(%d) = %b, want %b", n, width, i, p.Load(i), nums[i])
-				}
-			}
-			// Random request subsets: winner must match a naive max scan
-			// (ties toward the higher identity).
-			for trial := 0; trial < 50; trial++ {
-				req.Reset()
-				wantW, wantNum := -1, uint64(0)
-				for i := 1; i <= n; i++ {
-					if src.Intn(3) == 0 {
-						req.Set(i)
-						if nums[i] >= wantNum || wantW < 0 {
-							wantW, wantNum = i, nums[i]
-						}
-					}
-				}
-				gotW, gotNum := p.Resolve(req)
-				if gotW != wantW || gotNum != wantNum {
-					t.Fatalf("n=%d width=%d trial=%d: Resolve = (%d, %b), want (%d, %b)",
-						n, width, trial, gotW, gotNum, wantW, wantNum)
-				}
-			}
-		}
-	}
-}
-
-func TestPlanesStoreReplaces(t *testing.T) {
-	p := NewPlanes(6, 10)
-	p.Store(5, 0b111111)
-	p.Store(5, 0b000001)
-	if got := p.Load(5); got != 1 {
-		t.Fatalf("Load after re-Store = %b, want 1", got)
-	}
-}
-
-func TestPlanesPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("width 0", func() { NewPlanes(0, 4) })
-	mustPanic("width 65", func() { NewPlanes(65, 4) })
-	mustPanic("n 0", func() { NewPlanes(4, 0) })
-	p := NewPlanes(4, 4)
-	mustPanic("Store out of range", func() { p.Store(0, 1) })
-	mustPanic("Store too wide", func() { p.Store(1, 1<<4) })
-	mustPanic("Resolve mismatch", func() { p.Resolve(NewVec(5)) })
-}
-
 func TestVecAppendIDs(t *testing.T) {
 	for _, n := range boundaryNs {
 		v := NewVec(n)
@@ -308,12 +234,10 @@ func TestInitVecsShareOneAllocation(t *testing.T) {
 func TestSteadyStateAllocs(t *testing.T) {
 	const n = 200
 	v := NewVec(n)
-	p := NewPlanes(12, n)
 	a := NewArrivals(8, n)
 	f := NewArrivals(8, n)
 	for i := 1; i <= n; i += 3 {
 		v.Set(i)
-		p.Store(i, uint64(i))
 	}
 	id := 0
 	work := func() {
@@ -323,7 +247,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		v.MaxAndNot(v)
 		v.And(v, v)
 		v.CopyFrom(v)
-		p.Resolve(v)
 		// Enough pulses per run to fill the arrival ring and compact it.
 		for k := 0; k < 3*n; k++ {
 			id = id%n + 1

@@ -64,7 +64,7 @@ func FuzzKernelMatchesSettle(f *testing.F) {
 		width := 1 + int(w%64)
 		const maxComps = 24
 		arb := New(width, maxComps)
-		planes := bitarb.NewPlanes(width, maxComps)
+		planes := NewPlanes(width, maxComps)
 		req := bitarb.NewVec(maxComps)
 		mask := ^uint64(0) >> uint(64-width)
 		seen := map[uint64]bool{}

@@ -153,7 +153,7 @@ func TestRunSettleEmptyAndTrace(t *testing.T) {
 func TestKernelPlanesMatchSettle(t *testing.T) {
 	const width, nAgents = 10, 40
 	a := New(width, nAgents)
-	planes := bitarb.NewPlanes(width, nAgents)
+	planes := NewPlanes(width, nAgents)
 	req := bitarb.NewVec(nAgents)
 	src := rng.New(99)
 	for trial := 0; trial < 300; trial++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"busarb/internal/central"
 	"busarb/internal/rng"
 )
 
@@ -148,7 +147,7 @@ func TestFCFS2MatchesCentralQueue(t *testing.T) {
 		ops := randomHistory(src, n, 120)
 		grants := replay(t, NewFCFS2(n), ops)
 
-		var q central.FCFSQueue
+		var q centralQueue
 		waiting := map[int]bool{}
 		var want []int
 		for _, o := range ops {

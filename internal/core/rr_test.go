@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"busarb/internal/central"
 	"busarb/internal/rng"
 )
 
@@ -123,7 +122,7 @@ func TestRRMatchesCentralOracle(t *testing.T) {
 		grants := replay(t, NewRR1(n), ops)
 
 		// Replay the same effective history through the central arbiter.
-		oracle := central.NewRoundRobin(n)
+		oracle := newCentralRR(n)
 		waiting := map[int]bool{}
 		var want []int
 		for _, o := range ops {
