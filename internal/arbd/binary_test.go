@@ -1,9 +1,12 @@
 package arbd
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -267,5 +270,77 @@ func TestBinaryServerClose(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBinaryAnswerBytes pins the server's answers byte for byte: raw
+// frames go in over one connection, and each answer must equal
+// codec.Append of the frame the protocol promises. It covers what the
+// client-level tests cannot see: the resource in a Grant, the route a
+// local answer to a routed frame echoes, and the answer to a frame
+// type a client must not send.
+func TestBinaryAnswerBytes(t *testing.T) {
+	d, err := New(Config{Resources: []ResourceConfig{res("bus", 2, "RR1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, bs := startBinary(t, d)
+	defer func() { bs.Close(); d.Close() }()
+	conn, err := net.Dial("tcp", target[len("tcp://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w := codec.NewWriter(conn)
+
+	ttl := int64(30 * time.Second)
+	route := codec.AppendRequestRoute(nil, 1, []byte("a"), 9)
+	cases := []struct {
+		name      string
+		req, want codec.Frame
+	}{
+		{"grant",
+			codec.Frame{Type: codec.TAcquire, Corr: 1, Agent: 1, TTLNS: ttl, Resource: []byte("bus")},
+			codec.Frame{Type: codec.TGrant, Corr: 1, Agent: 1, TTLNS: ttl, Resource: []byte("bus"), Token: []byte("bus-1-1")}},
+		{"released",
+			codec.Frame{Type: codec.TRelease, Corr: 2, Resource: []byte("bus"), Token: []byte("bus-1-1")},
+			codec.Frame{Type: codec.TReleased, Corr: 2, Resource: []byte("bus")}},
+		{"error",
+			codec.Frame{Type: codec.TRelease, Corr: 3, Resource: []byte("bus"), Token: []byte("bus-1-1")},
+			codec.Frame{Type: codec.TError, Corr: 3, Code: 404, Msg: []byte("arbd: unknown or expired lease")}},
+		{"routed grant",
+			codec.Frame{Type: codec.TAcquire, Flags: codec.FlagRouted, Corr: 4, Agent: 2, TTLNS: ttl, Resource: []byte("bus"), Route: route},
+			codec.Frame{Type: codec.TGrant, Flags: codec.FlagRouted, Corr: 4, Agent: 2, TTLNS: ttl, Resource: []byte("bus"), Token: []byte("bus-2-2"), Route: route}},
+		{"routed released",
+			codec.Frame{Type: codec.TRelease, Flags: codec.FlagRouted, Corr: 5, Resource: []byte("bus"), Token: []byte("bus-2-2"), Route: route},
+			codec.Frame{Type: codec.TReleased, Flags: codec.FlagRouted, Corr: 5, Resource: []byte("bus"), Route: route}},
+		{"unexpected frame",
+			codec.Frame{Type: codec.TGrant, Corr: 6, Agent: 1, TTLNS: ttl, Resource: []byte("bus"), Token: []byte("bus-1-9")},
+			codec.Frame{Type: codec.TError, Corr: 6, Code: 400, Msg: []byte("arbd: unexpected Grant frame")}},
+		{"served after the bad frame",
+			codec.Frame{Type: codec.TAcquire, Corr: 7, Agent: 1, Resource: []byte("bus")},
+			codec.Frame{Type: codec.TGrant, Corr: 7, Agent: 1, TTLNS: ttl, Resource: []byte("bus"), Token: []byte("bus-1-3")}},
+	}
+	for _, tc := range cases {
+		if err := w.WriteFrame(&tc.req); err != nil {
+			t.Fatalf("%s: writing the request: %v", tc.name, err)
+		}
+		var prefix [4]byte
+		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+			t.Fatalf("%s: reading the answer: %v", tc.name, err)
+		}
+		got := make([]byte, 4+binary.BigEndian.Uint32(prefix[:]))
+		copy(got, prefix[:])
+		if _, err := io.ReadFull(conn, got[4:]); err != nil {
+			t.Fatalf("%s: reading the answer: %v", tc.name, err)
+		}
+		want, err := codec.Append(nil, &tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: answer\n got %x\nwant %x", tc.name, got, want)
+		}
 	}
 }
