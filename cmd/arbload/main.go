@@ -60,15 +60,17 @@ func main() {
 	flag.Parse()
 
 	var resources []string
-	if *resourceList != "" {
+	switch {
+	case *resourceList != "":
 		if resources = splitList(*resourceList); len(resources) == 0 {
 			fmt.Fprintf(os.Stderr, "arbload: -resources spec %q names no resources\n", *resourceList)
 			os.Exit(1)
 		}
+	case *resource != "":
+		resources = []string{*resource}
 	}
-	targets := splitList(*target)
 	cfg := arbd.LoadConfig{
-		Resource:  *resource,
+		Targets:   splitList(*target),
 		Resources: resources,
 		Agents:    *agents,
 		Requests:  *requests,
@@ -77,13 +79,6 @@ func main() {
 		Hold:      *hold,
 		Timeout:   *timeout,
 		Seed:      *seed,
-	}
-	if len(targets) > 1 {
-		cfg.Targets = targets
-	} else if len(targets) == 1 {
-		cfg.Target = targets[0]
-	} else {
-		cfg.Target = *target
 	}
 	rep, err := arbd.RunLoad(cfg)
 	if err != nil {

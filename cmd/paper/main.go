@@ -50,6 +50,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paper: unknown format %q\n", *format)
 		os.Exit(1)
 	}
+	if *format != "text" && (*ablations || *cost || *robust || *priority || *membusF) {
+		fmt.Fprintf(os.Stderr, "paper: -ablations, -cost, -robustness, -priority and -membus print text only, not %s\n", *format)
+		os.Exit(1)
+	}
 
 	// An explicitly given -seed counts even when it is 0: the zero seed
 	// selects a real random stream, not "use the default".

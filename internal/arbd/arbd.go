@@ -13,11 +13,13 @@
 // grants the winner a lease, its bus tenure. A queued
 // acquire's own goroutine owns its deadline: when its wait ends it has
 // the loop drop the waiter, so no tick scans the queue. Mirroring the
-// simulators' single-threaded event loops keeps the protocol state
-// free of locks; the only cross-goroutine seams are the shard's
-// request channels and an obs.Synchronized probe, through which the
-// /metricz handler reads live obs.Metrics windows and grant tallies
-// while the loop keeps emitting.
+// simulators' single-threaded event loops, the loop is the only
+// goroutine that touches a shard's state — the protocol, the waiters,
+// the lease, and the grant tallies and obs.Metrics windows behind
+// /metricz — so none of it is locked: the only seams are the shard's
+// channels, one of which carries /metricz's snapshot requests into the
+// loop. Each input is handled at the time the loop read for it, and
+// the events it causes carry that time.
 //
 // Backpressure contract: a full shard queue and a stopping daemon
 // answer 503; an acquire whose client deadline passes while queued
@@ -108,9 +110,11 @@ type Config struct {
 	// placed them all elsewhere) while still forwarding for its
 	// peers.
 	AllowNoResources bool
-	// Observer, if non-nil, additionally receives every shard's events
-	// (already serialized through the shard's Synchronized probe).
-	// Event times are seconds since the daemon started.
+	// Observer, if non-nil, additionally receives every shard's events,
+	// each from its shard's loop goroutine: one shard's events arrive in
+	// order, but two shards may call at once. Event times are seconds
+	// since the daemon started, read by the loop for the input that
+	// caused the event.
 	Observer obs.Probe
 }
 
@@ -262,8 +266,8 @@ type releaseReq struct {
 }
 
 // tally is the live counter probe behind /metricz: per-agent grants
-// and line assertions plus resolution counts. It is driven and read
-// under the shard's Synchronized probe.
+// and line assertions plus resolution counts. Only the shard's loop
+// drives and reads it.
 type tally struct {
 	grants       []int64 // indexed by agent identity; [0] unused
 	requests     []int64
@@ -292,18 +296,20 @@ type shard struct {
 
 	acquireCh chan *acquireReq
 	releaseCh chan releaseReq
-	cancelCh  chan *acquireReq // acquires whose wait ended before their reply
-	done      chan struct{}    // closed by stop()
-	stopped   chan struct{}    // closed when loop() exits
+	cancelCh  chan *acquireReq          // acquires whose wait ended before their reply
+	reportCh  chan chan ResourceMetrics // /metricz's snapshot requests
+	done      chan struct{}             // closed by stop()
+	stopped   chan struct{}             // closed when loop() exits
 	stopOnce  sync.Once
 
-	// probe serializes the loop's emissions with /metricz reads of the
-	// consumers behind it.
-	probe   *obs.SynchronizedProbe
-	metrics *obs.Metrics
-	tally   *tally
+	// final is the loop's last snapshot: written as the loop exits,
+	// before stopped closes, and read only after that.
+	final ResourceMetrics
 
 	// Loop-owned state (no locking: single goroutine).
+	probe       obs.Multi         // owned by the loop goroutine; tally, metrics and the Observer
+	metrics     *obs.Metrics      // owned by the loop goroutine
+	tally       *tally            // owned by the loop goroutine
 	bus         busctl.Controller // owned by the loop goroutine
 	pulse       float64           // owned by the loop goroutine; the bus clock: +1 per raise and per grant
 	waiters     [][]*acquireReq   // owned by the loop goroutine; per-agent FIFO, index by identity
@@ -321,6 +327,7 @@ func newShard(rc ResourceConfig, proto core.Protocol, epoch time.Time, extra obs
 		acquireCh: make(chan *acquireReq, 64),
 		releaseCh: make(chan releaseReq, 16),
 		cancelCh:  make(chan *acquireReq),
+		reportCh:  make(chan chan ResourceMetrics),
 		done:      make(chan struct{}),
 		stopped:   make(chan struct{}),
 		waiters:   make([][]*acquireReq, rc.Agents+1),
@@ -330,11 +337,10 @@ func newShard(rc ResourceConfig, proto core.Protocol, epoch time.Time, extra obs
 			requests: make([]int64, rc.Agents+1),
 		},
 	}
-	sinks := obs.Multi{s.tally, s.metrics}
+	s.probe = obs.Multi{s.tally, s.metrics}
 	if extra != nil {
-		sinks = append(sinks, extra)
+		s.probe = append(s.probe, extra)
 	}
-	s.probe = obs.Synchronized(sinks)
 	s.bus.Init(proto)
 	return s
 }
@@ -342,11 +348,11 @@ func newShard(rc ResourceConfig, proto core.Protocol, epoch time.Time, extra obs
 // stop requests loop exit; idempotent.
 func (s *shard) stop() { s.stopOnce.Do(func() { close(s.done) }) }
 
-// now returns the event-time in seconds since the daemon epoch.
-func (s *shard) now() float64 { return time.Since(s.epoch).Seconds() }
-
-// emit forwards an event through the synchronized probe.
-func (s *shard) emit(e obs.Event) { s.probe.OnEvent(e) }
+// emit hands the probe an event of kind for agent, stamped with now
+// in seconds since the daemon epoch.
+func (s *shard) emit(now time.Time, kind obs.Kind, agent int) {
+	s.probe.OnEvent(obs.Event{Time: now.Sub(s.epoch).Seconds(), Kind: kind, Agent: agent})
+}
 
 // loop is the shard's single-goroutine bus cycle.
 func (s *shard) loop() {
@@ -357,13 +363,16 @@ func (s *shard) loop() {
 		select {
 		case <-s.done:
 			s.drain()
+			s.final = s.snapshot()
 			return
 		case req := <-s.acquireCh:
 			s.admit(req, time.Now())
 		case req := <-s.cancelCh:
 			s.cancel(req, time.Now())
 		case rel := <-s.releaseCh:
-			rel.reply <- s.release(rel.token)
+			rel.reply <- s.release(rel.token, time.Now())
+		case reply := <-s.reportCh:
+			reply <- s.snapshot()
 		case <-ticker.C:
 			s.tick(time.Now())
 		}
@@ -410,19 +419,19 @@ func (s *shard) admit(req *acquireReq, now time.Time) {
 	}
 	s.waiters[req.agent] = append(s.waiters[req.agent], req)
 	s.nwait++
-	s.raise(req.agent)
+	s.raise(req.agent, now)
 }
 
 // raise asserts agent's request line unless it is up: one outstanding
 // request per agent, the paper's model. The shard arbitrates on its
 // tick, so it ignores the controller's Action.
-func (s *shard) raise(agent int) {
+func (s *shard) raise(agent int, now time.Time) {
 	if s.bus.Line(agent) {
 		return
 	}
 	s.pulse++
 	s.bus.Request(agent, s.pulse, false)
-	s.emit(obs.Event{Time: s.now(), Kind: obs.RequestIssued, Agent: agent})
+	s.emit(now, obs.RequestIssued, agent)
 }
 
 // cancel drops a queued waiter whose wait ended and answers it 408. A
@@ -444,18 +453,18 @@ func (s *shard) cancel(req *acquireReq, now time.Time) {
 
 // release frees the lease identified by token. Unknown or expired
 // tokens report false.
-func (s *shard) release(token string) bool {
+func (s *shard) release(token string, now time.Time) bool {
 	if token == "" || token != s.leaseToken {
 		return false
 	}
-	s.endLease()
+	s.endLease(now)
 	return true
 }
 
 // endLease clears the current lease, ends its tenure and emits its
 // ServiceEnd.
-func (s *shard) endLease() {
-	s.emit(obs.Event{Time: s.now(), Kind: obs.ServiceEnd, Agent: s.leaseAgent})
+func (s *shard) endLease(now time.Time) {
+	s.emit(now, obs.ServiceEnd, s.leaseAgent)
 	s.leaseToken = ""
 	s.leaseAgent = 0
 	s.bus.TenureEnd()
@@ -467,7 +476,7 @@ func (s *shard) tick(now time.Time) {
 	if s.leaseToken != "" && !now.Before(s.leaseExpiry) {
 		// The holder never released: the lease lapses so a crashed
 		// client cannot wedge the resource.
-		s.endLease()
+		s.endLease(now)
 	}
 	for s.leaseToken == "" {
 		w, repasses := s.bus.Settle()
@@ -475,9 +484,9 @@ func (s *shard) tick(now time.Time) {
 			return // no line asserted: the idle bus starts no arbitration
 		}
 		for ; repasses > 0; repasses-- {
-			s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
+			s.emit(now, obs.Repass, 0)
 		}
-		s.emit(obs.Event{Time: s.now(), Kind: obs.ArbitrationResolve, Agent: w})
+		s.emit(now, obs.ArbitrationResolve, w)
 		s.pulse++
 		s.bus.TenureStart(w, s.pulse, false)
 		req := s.popWaiter(w, now)
@@ -494,7 +503,7 @@ func (s *shard) tick(now time.Time) {
 			// More clients share this identity: the line goes straight
 			// back up for the next of them, which is when its wait starts
 			// in the bus model.
-			s.raise(w)
+			s.raise(w, now)
 		}
 	}
 }
@@ -540,7 +549,7 @@ func (s *shard) grantLease(agent int, req *acquireReq, now time.Time) {
 	s.leaseToken = token
 	s.leaseAgent = agent
 	s.leaseExpiry = now.Add(ttl)
-	s.emit(obs.Event{Time: s.now(), Kind: obs.ServiceStart, Agent: agent})
+	s.emit(now, obs.ServiceStart, agent)
 	req.reply <- acquireReply{lease: Lease{
 		Resource: s.cfg.Name,
 		Agent:    agent,

@@ -38,14 +38,12 @@ func res(name string, agents int, protocol string) ResourceConfig {
 }
 
 // waitQueued blocks until the shard has admitted agent's first
-// request: its request line shows in the tally.
+// request: its request line shows in the tally the loop reports.
 func waitQueued(t *testing.T, s *shard, agent int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var queued bool
-		s.probe.Do(func() { queued = s.tally.requests[agent] > 0 })
-		if queued {
+		if s.report().Agents[agent-1].Requests > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -394,9 +392,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// Let the waiter reach the shard queue.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var queued bool
-		s := d.shards["bus"]
-		s.probe.Do(func() { queued = s.tally.requests[2] > 0 })
+		queued := d.Metrics()["bus"].Agents[1].Requests > 0
 		if queued || time.Now().After(deadline) {
 			break
 		}
@@ -427,5 +423,28 @@ func TestGracefulShutdown(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMetricsAfterClose pins that a closed daemon still reports each
+// shard's final counters: the loop leaves its last snapshot behind as
+// it exits.
+func TestMetricsAfterClose(t *testing.T) {
+	d, err := New(Config{Resources: []ResourceConfig{res("bus", 2, "RR1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, serr := d.Acquire(context.Background(), "bus", 2, 0, 0)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if serr := d.Release("bus", lease.Token); serr != nil {
+		t.Fatal(serr)
+	}
+	d.Close()
+	m := d.Metrics()["bus"]
+	if m.Protocol != "RR1" || m.Arbitrations != 1 || len(m.Agents) != 2 ||
+		m.Agents[1].Grants != 1 || m.Agents[1].Requests != 1 {
+		t.Errorf("metrics after Close = %+v, want RR1 with agent 2's one grant and request", m)
 	}
 }

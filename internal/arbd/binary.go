@@ -1,6 +1,7 @@
 package arbd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/mux"
 )
 
 // BinaryServer serves the daemon over the compact binary protocol
@@ -19,11 +21,12 @@ import (
 // transport-blind Daemon.Acquire/Daemon.Release entry points the HTTP
 // handlers use — the shard loops cannot tell the transports apart.
 //
-// Per connection: one reader goroutine decodes frames; each acquire
-// runs in its own goroutine (acquires block, and blocking the reader
-// would serialize the multiplexed agents behind one grant); one
-// writer goroutine owns the connection's write side and serializes
-// the responses. A dropped connection abandons its in-flight acquires
+// Per connection: one reader goroutine decodes each Acquire or
+// Release frame once into a Request; each acquire runs in its own
+// goroutine (acquires block, and blocking the reader would serialize
+// the multiplexed agents behind one grant); one writer goroutine owns
+// the connection's write side and turns every answer, a mux.Reply,
+// into a frame. A dropped connection abandons its in-flight acquires
 // the same way a closed HTTP request body does: their contexts
 // cancel, and queued waiters are answered (and discarded) through the
 // shard's 408 path.
@@ -126,17 +129,15 @@ func (s *BinaryServer) dropConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// response is one server→client frame with owned (not buffer-aliased)
-// fields, queued for the connection's writer goroutine.
-type response struct {
-	frame codec.Frame
-	// resource, token, msg and route own the bytes frame's fields
-	// alias. route is encoded only when frame.Flags carries
-	// FlagRouted.
-	resource, token, msg, route string
+// answer is one reply queued for the connection's writer, with the
+// correlation ID and resource of the request it answers.
+type answer struct {
+	corr     uint64
+	resource string
+	rep      mux.Reply
 }
 
-// serveConn runs one connection: reader here, writer and per-acquire
+// serveConn runs one connection: reader here, writer and per-request
 // goroutines below.
 func (s *BinaryServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -148,30 +149,42 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// The writer drains responses until the channel closes; a write
-	// error degrades it into a discard loop so blocked acquire
-	// goroutines can still finish sending.
-	responses := make(chan response, 64)
+	// The writer drains answers until the channel closes; a write error
+	// degrades it into a discard loop so blocked acquire goroutines can
+	// still finish sending. The channel is closed only after every
+	// sender has finished (the request goroutines are waited for, the
+	// reader sends inline), so no send can deadlock or panic.
+	answers := make(chan answer, 64)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		w := codec.NewWriter(conn)
 		broken := false
-		for r := range responses {
+		for a := range answers {
 			if broken {
 				continue
 			}
-			r.frame.Resource = []byte(r.resource)
-			r.frame.Token = []byte(r.token)
-			r.frame.Msg = []byte(r.msg)
-			r.frame.Route = []byte(r.route)
-			if err := w.WriteFrame(&r.frame); err != nil {
+			f := codec.Frame{
+				Type:     a.rep.Type,
+				Corr:     a.corr,
+				Agent:    a.rep.Agent,
+				TTLNS:    int64(a.rep.TTL),
+				Code:     uint16(a.rep.Code),
+				Resource: []byte(a.resource),
+				Token:    []byte(a.rep.Token),
+				Msg:      []byte(a.rep.Msg),
+				Route:    a.rep.Route,
+			}
+			if f.Route != nil {
+				f.Flags = codec.FlagRouted
+			}
+			if err := w.WriteFrame(&f); err != nil {
 				broken = true
 			}
 		}
 	}()
 
-	var acquires sync.WaitGroup
+	var requests sync.WaitGroup
 	r := codec.NewReader(conn)
 	var f codec.Frame
 	for {
@@ -181,173 +194,75 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 			// Close — also just ends the conversation. A codec error is
 			// answered best-effort before hanging up.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.enqueue(responses, response{
-					frame: codec.Frame{Type: codec.TError, Corr: f.Corr, Code: codeBadRequest},
-					msg:   fmt.Sprintf("arbd: %v", err),
-				})
+				answers <- answer{corr: f.Corr, rep: mux.ErrorReply(codeBadRequest, fmt.Sprintf("arbd: %v", err))}
 			}
 			break
 		}
-		switch f.Type {
-		case codec.TAcquire:
-			// Copy the buffer-aliased fields before the next Next call
-			// invalidates them; the acquire blocks in its own goroutine.
-			req := acquireArgs{
-				corr:     f.Corr,
-				resource: string(f.Resource),
-				agent:    int(int32(f.Agent)),
-				timeout:  time.Duration(f.TimeoutNS),
-				ttl:      time.Duration(f.TTLNS),
-				route:    string(f.Route),
-				routed:   f.Flags&codec.FlagRouted != 0,
-			}
-			if s.router != nil && !s.router.Owns(req.resource) {
-				s.forward(ctx, &acquires, responses, ForwardFrame{
-					Type:     codec.TAcquire,
-					Resource: req.resource,
-					Agent:    req.agent,
-					Timeout:  req.timeout,
-					TTL:      req.ttl,
-					Corr:     req.corr,
-					Route:    []byte(req.route),
-					Routed:   req.routed,
-				})
-				continue
-			}
-			acquires.Add(1)
+		if f.Type != codec.TAcquire && f.Type != codec.TRelease {
+			answers <- answer{corr: f.Corr, rep: mux.ErrorReply(codeBadRequest, fmt.Sprintf("arbd: unexpected %v frame", f.Type))}
+			continue
+		}
+		// Copy the buffer-aliased fields before the next Next call
+		// invalidates them.
+		req := Request{
+			Type:     f.Type,
+			Resource: string(f.Resource),
+			Agent:    int(int32(f.Agent)),
+			Timeout:  time.Duration(f.TimeoutNS),
+			TTL:      time.Duration(f.TTLNS),
+			Token:    string(f.Token),
+			Corr:     f.Corr,
+			Route:    bytes.Clone(f.Route),
+		}
+		switch {
+		case s.router != nil && !s.router.Owns(req.Resource):
+			// A forwarded request blocks on the owner, so it runs in its
+			// own goroutine, a release too: release→answer ordering is
+			// per-node, not preserved across a hop.
+			requests.Add(1)
 			go func() {
-				defer acquires.Done()
-				s.handleAcquire(ctx, responses, req)
+				defer requests.Done()
+				answers <- answer{req.Corr, req.Resource, s.router.Forward(ctx, req)}
 			}()
-		case codec.TRelease:
-			corr := f.Corr
-			resource := string(f.Resource)
-			if s.router != nil && !s.router.Owns(resource) {
-				// A forwarded release blocks on the owner, so unlike the
-				// local path it runs in its own goroutine (joining the
-				// acquires group): release→response ordering is per-node,
-				// not preserved across a hop.
-				s.forward(ctx, &acquires, responses, ForwardFrame{
-					Type:     codec.TRelease,
-					Resource: resource,
-					Token:    string(f.Token),
-					Corr:     corr,
-					Route:    []byte(f.Route),
-					Routed:   f.Flags&codec.FlagRouted != 0,
-				})
-				continue
-			}
+		case req.Type == codec.TAcquire:
+			// Acquires block on the shard, and blocking the reader would
+			// serialize the multiplexed agents behind one grant.
+			requests.Add(1)
+			go func() {
+				defer requests.Done()
+				answers <- answer{req.Corr, req.Resource, s.serve(ctx, req)}
+			}()
+		default:
 			// Releases resolve against the shard loop without blocking
 			// on a grant, so they are answered inline, preserving
-			// release→response ordering on the connection.
-			routed, route := f.Flags&codec.FlagRouted != 0, string(f.Route)
-			if serr := s.d.Release(resource, string(f.Token)); serr != nil {
-				s.enqueue(responses, stampRoute(errResponse(corr, serr), routed, route))
-			} else {
-				s.enqueue(responses, stampRoute(response{
-					frame:    codec.Frame{Type: codec.TReleased, Corr: corr},
-					resource: resource,
-				}, routed, route))
-			}
-		default:
-			s.enqueue(responses, response{
-				frame: codec.Frame{Type: codec.TError, Corr: f.Corr, Code: codeBadRequest},
-				msg:   fmt.Sprintf("arbd: unexpected %v frame", f.Type),
-			})
+			// release→answer ordering on the connection.
+			answers <- answer{req.Corr, req.Resource, s.serve(ctx, req)}
 		}
 	}
-	// Reader is done: cancel in-flight acquires, let them finish
-	// replying, then retire the writer.
+	// Reader is done: cancel in-flight requests, let them finish
+	// answering, then retire the writer.
 	cancel()
-	acquires.Wait()
-	close(responses)
+	requests.Wait()
+	close(answers)
 	<-writerDone
 }
 
-// acquireArgs is one decoded acquire with owned fields. route/routed
-// carry the incoming route field so owner-side responses to forwarded
-// frames echo it back under FlagRouted.
-type acquireArgs struct {
-	corr     uint64
-	resource string
-	agent    int
-	timeout  time.Duration
-	ttl      time.Duration
-	route    string
-	routed   bool
-}
-
-// handleAcquire blocks on the shard and queues the response.
-func (s *BinaryServer) handleAcquire(ctx context.Context, responses chan<- response, req acquireArgs) {
-	lease, serr := s.d.Acquire(ctx, req.resource, req.agent, req.timeout, req.ttl)
+// serve answers req on the local daemon. The answer to a routed frame
+// echoes its route, which the writer sends under FlagRouted.
+func (s *BinaryServer) serve(ctx context.Context, req Request) mux.Reply {
+	var rep mux.Reply
+	var serr *statusError
+	if req.Type == codec.TAcquire {
+		var lease Lease
+		lease, serr = s.d.Acquire(ctx, req.Resource, req.Agent, req.Timeout, req.TTL)
+		rep = mux.Reply{Type: codec.TGrant, Agent: uint32(lease.Agent), TTL: lease.TTL, Token: lease.Token}
+	} else {
+		serr = s.d.Release(req.Resource, req.Token)
+		rep = mux.Reply{Type: codec.TReleased}
+	}
 	if serr != nil {
-		s.enqueue(responses, stampRoute(errResponse(req.corr, serr), req.routed, req.route))
-		return
+		rep = mux.ErrorReply(serr.code, serr.msg)
 	}
-	s.enqueue(responses, stampRoute(response{
-		frame: codec.Frame{
-			Type:  codec.TGrant,
-			Corr:  req.corr,
-			Agent: uint32(lease.Agent),
-			TTLNS: int64(lease.TTL),
-		},
-		resource: lease.Resource,
-		token:    lease.Token,
-	}, req.routed, req.route))
-}
-
-// forward hands a non-owned frame to the router in its own goroutine
-// (joining the connection's acquires group — Close semantics are
-// identical to a blocked local acquire) and queues the router's
-// terminal reply, always under FlagRouted with the router's owner
-// hint in the route field. The reply goes out under the client's own
-// correlation ID and resource, which the hop does not carry back.
-func (s *BinaryServer) forward(ctx context.Context, acquires *sync.WaitGroup, responses chan<- response, ff ForwardFrame) {
-	acquires.Add(1)
-	go func() {
-		defer acquires.Done()
-		rep := s.router.Forward(ctx, ff)
-		s.enqueue(responses, response{
-			frame: codec.Frame{
-				Type:  rep.Type,
-				Flags: codec.FlagRouted,
-				Corr:  ff.Corr,
-				Agent: rep.Agent,
-				TTLNS: int64(rep.TTL),
-				Code:  uint16(rep.Code),
-			},
-			resource: ff.Resource,
-			token:    rep.Token,
-			msg:      rep.Msg,
-			route:    string(rep.Route),
-		})
-	}()
-}
-
-// stampRoute marks a response as the answer to a routed frame,
-// echoing the request's route field; unrouted responses pass through
-// unchanged.
-func stampRoute(r response, routed bool, route string) response {
-	if routed {
-		r.frame.Flags |= codec.FlagRouted
-		r.route = route
-	}
-	return r
-}
-
-// errResponse maps a statusError onto a wire error frame.
-func errResponse(corr uint64, serr *statusError) response {
-	return response{
-		frame: codec.Frame{Type: codec.TError, Corr: corr, Code: uint16(serr.code)},
-		msg:   serr.msg,
-	}
-}
-
-// enqueue hands a response to the writer goroutine. The channel is
-// only closed after every possible sender has finished (acquires are
-// waited for, the reader enqueues inline), and the writer drains it
-// to the end even on a broken connection, so the send cannot deadlock
-// or panic.
-func (s *BinaryServer) enqueue(responses chan<- response, r response) {
-	responses <- r
+	rep.Route = req.Route
+	return rep
 }

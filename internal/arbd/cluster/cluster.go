@@ -242,7 +242,7 @@ func (n *Node) Owns(resource string) bool {
 // hop, push the frame down the owner's pooled connection, and relay
 // the terminal answer with an owner hint attached. Each frame type
 // encodes only its own fields, so one frame serves both verbs.
-func (n *Node) Forward(ctx context.Context, f arbd.ForwardFrame) mux.Reply {
+func (n *Node) Forward(ctx context.Context, f arbd.Request) mux.Reply {
 	start := time.Now() //arblint:allow determinism forward latency is an operational metric, not simulation output
 	timeout := f.Timeout
 	if timeout > 0 {
@@ -269,11 +269,11 @@ func (n *Node) Forward(ctx context.Context, f arbd.ForwardFrame) mux.Reply {
 // (local failures — hop limit, bad route, full queue — don't count as
 // forward latency samples). The reply always carries the owner-hint
 // route for the response relay.
-func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Frame) (mux.Reply, bool) {
+func (n *Node) forward(ctx context.Context, f arbd.Request, wire *codec.Frame) (mux.Reply, bool) {
 	var hops uint8
 	origin := []byte(n.cfg.Self)
 	corr := f.Corr
-	if f.Routed {
+	if f.Route != nil {
 		// The frame already crossed a node: keep its origin stamp,
 		// advance the hop count, and refuse to bounce past the limit —
 		// two nodes forwarding to each other means their rings disagree,

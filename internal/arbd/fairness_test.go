@@ -68,11 +68,11 @@ func TestNetworkedFairness(t *testing.T) {
 				defer func() { shutdown(); d.Close() }()
 
 				rep, err := RunLoad(LoadConfig{
-					Target:   target,
-					Resource: "bus",
-					Agents:   tr.agents,
-					Requests: tr.requests,
-					Seed:     1,
+					Targets:   []string{target},
+					Resources: []string{"bus"},
+					Agents:    tr.agents,
+					Requests:  tr.requests,
+					Seed:      1,
 				})
 				if err != nil {
 					t.Fatal(err)

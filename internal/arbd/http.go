@@ -207,39 +207,55 @@ type ResourceMetrics struct {
 }
 
 // Metrics snapshots every resource's live counters and latest metrics
-// window. It is safe to call while the shard loops run: each snapshot
-// is taken under the shard's probe mutex.
+// window. It is safe to call while the shard loops run: each shard's
+// loop takes its snapshot between two inputs. After Close it reports
+// the counters each loop left as it exited.
 func (d *Daemon) Metrics() map[string]ResourceMetrics {
 	out := make(map[string]ResourceMetrics, len(d.names))
 	for _, name := range d.names {
-		s := d.shards[name]
-		rm := ResourceMetrics{
-			Protocol: s.cfg.ProtocolName(),
-			Agents:   make([]AgentMetrics, s.cfg.Agents),
-		}
-		s.probe.Do(func() {
-			for id := 1; id <= s.cfg.Agents; id++ {
-				rm.Agents[id-1] = AgentMetrics{
-					Grants:   s.tally.grants[id],
-					Requests: s.tally.requests[id],
-				}
-			}
-			rm.Arbitrations = s.tally.arbitrations
-			rm.Repasses = s.tally.repasses
-			if wins := s.metrics.Windows(); len(wins) > 0 {
-				win := wins[len(wins)-1]
-				rm.WindowStart, rm.WindowEnd = win.Start, win.End
-				for id := 1; id <= s.cfg.Agents && id <= len(win.Agents); id++ {
-					a := win.Agents[id-1]
-					rm.Agents[id-1].WaitP50 = a.WaitP50
-					rm.Agents[id-1].WaitP90 = a.WaitP90
-					rm.Agents[id-1].WaitMax = a.WaitMax
-				}
-			}
-		})
-		out[name] = rm
+		out[name] = d.shards[name].report()
 	}
 	return out
+}
+
+// report fetches a snapshot through the loop or, once the loop has
+// exited, the one it left behind.
+func (s *shard) report() ResourceMetrics {
+	reply := make(chan ResourceMetrics, 1)
+	select {
+	case s.reportCh <- reply:
+		return <-reply
+	case <-s.stopped:
+		return s.final
+	}
+}
+
+// snapshot reads the shard's tallies and its latest closed metrics
+// window.
+func (s *shard) snapshot() ResourceMetrics {
+	rm := ResourceMetrics{
+		Protocol:     s.cfg.ProtocolName(),
+		Agents:       make([]AgentMetrics, s.cfg.Agents),
+		Arbitrations: s.tally.arbitrations,
+		Repasses:     s.tally.repasses,
+	}
+	for id := 1; id <= s.cfg.Agents; id++ {
+		rm.Agents[id-1] = AgentMetrics{
+			Grants:   s.tally.grants[id],
+			Requests: s.tally.requests[id],
+		}
+	}
+	if wins := s.metrics.Windows(); len(wins) > 0 {
+		win := wins[len(wins)-1]
+		rm.WindowStart, rm.WindowEnd = win.Start, win.End
+		for id := 1; id <= s.cfg.Agents && id <= len(win.Agents); id++ {
+			a := win.Agents[id-1]
+			rm.Agents[id-1].WaitP50 = a.WaitP50
+			rm.Agents[id-1].WaitP90 = a.WaitP90
+			rm.Agents[id-1].WaitMax = a.WaitMax
+		}
+	}
+	return rm
 }
 
 // metriczPayload is the /metricz document.

@@ -24,7 +24,7 @@ import (
 // (worst-served over best-served agent), and acquire-wait quantiles.
 //
 // All traffic goes through the public busarb/client package — the
-// generator issues no hand-rolled requests — so the Target's scheme
+// generator issues no hand-rolled requests — so the target's scheme
 // selects the transport: "http://host:port" drives the JSON surface,
 // "tcp://host:port" the binary protocol, where every agent in the run
 // multiplexes over one persistent connection. (The generator lives in
@@ -33,22 +33,16 @@ import (
 
 // LoadConfig describes one load run.
 type LoadConfig struct {
-	// Target locates the daemon and selects the transport by scheme:
+	// Targets locate the daemon and select the transport by scheme:
 	// "http://127.0.0.1:8321" (HTTP) or "tcp://127.0.0.1:8322"
-	// (binary).
-	Target string
-	// Targets, when set, lists several daemon targets instead of
-	// Target: the generator connects with client.DialCluster, so the
-	// run drives an arbd cluster with owner-aware routing. A single
-	// entry still goes through DialCluster (useful to exercise the
-	// topology-learning path against one node).
+	// (binary). One target is dialed with client.Dial; several with
+	// client.DialCluster, so the run drives an arbd cluster with
+	// owner-aware routing.
 	Targets []string
-	// Resource names the arbitrated resource to pound on.
-	Resource string
-	// Resources, when set, spreads the agents round-robin over several
-	// resources instead of Resource: agent i drives
-	// Resources[(i-1)%R] under per-resource identity (i-1)/R+1, so
-	// each resource sees a dense 1..ceil(N/R) identity range.
+	// Resources names the arbitrated resources to pound on. The agents
+	// spread round-robin over them: agent i drives Resources[(i-1)%R]
+	// under per-resource identity (i-1)/R+1, so each resource sees a
+	// dense 1..ceil(N/R) identity range.
 	Resources []string
 	// Agents is the number of closed-loop clients (identities 1..Agents).
 	Agents int
@@ -67,28 +61,10 @@ type LoadConfig struct {
 	Seed uint64
 }
 
-// targetList resolves the effective targets: Targets when set, else
-// the single Target.
-func (cfg LoadConfig) targetList() []string {
-	if len(cfg.Targets) > 0 {
-		return cfg.Targets
-	}
-	return []string{cfg.Target}
-}
-
-// resourceList resolves the effective resources: Resources when set,
-// else the single Resource.
-func (cfg LoadConfig) resourceList() []string {
-	if len(cfg.Resources) > 0 {
-		return cfg.Resources
-	}
-	return []string{cfg.Resource}
-}
-
 // Validate checks the configuration; RunLoad returns exactly these
 // errors before touching the network.
 func (cfg LoadConfig) Validate() error {
-	if cfg.Target == "" && len(cfg.Targets) == 0 {
+	if len(cfg.Targets) == 0 {
 		return fmt.Errorf("arbload: target required")
 	}
 	for _, target := range cfg.Targets {
@@ -96,7 +72,7 @@ func (cfg LoadConfig) Validate() error {
 			return fmt.Errorf("arbload: empty target in list")
 		}
 	}
-	if cfg.Resource == "" && len(cfg.Resources) == 0 {
+	if len(cfg.Resources) == 0 {
 		return fmt.Errorf("arbload: resource name required")
 	}
 	for _, r := range cfg.Resources {
@@ -121,8 +97,8 @@ func (cfg LoadConfig) Validate() error {
 
 // AgentLoad is one agent's measurements.
 type AgentLoad struct {
-	// Resource is the resource this agent drove (the round-robin
-	// assignment when LoadConfig.Resources is set).
+	// Resource is the resource this agent drove (its round-robin
+	// assignment over LoadConfig.Resources).
 	Resource string
 	// Identity is the arbitrating identity the agent used on its
 	// resource (dense 1..ceil(N/R) per resource).
@@ -167,16 +143,15 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	var c *client.Client
 	var err error
-	if targets := cfg.targetList(); len(cfg.Targets) > 0 {
-		c, err = client.DialCluster(targets)
+	if len(cfg.Targets) > 1 {
+		c, err = client.DialCluster(cfg.Targets)
 	} else {
-		c, err = client.Dial(targets[0])
+		c, err = client.Dial(cfg.Targets[0])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("arbload: %w", err)
 	}
 	defer c.Close()
-	resources := cfg.resourceList()
 
 	type agentResult struct {
 		agent AgentLoad
@@ -205,8 +180,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			// Round-robin assignment over the resource list: dense
 			// per-resource identities keep each shard's protocol seeing
 			// agents 1..ceil(N/R), the shape the fairness figures assume.
-			resource := resources[(id-1)%len(resources)]
-			identity := (id-1)/len(resources) + 1
+			resource := cfg.Resources[(id-1)%len(cfg.Resources)]
+			identity := (id-1)/len(cfg.Resources) + 1
 			res.agent.Resource = resource
 			res.agent.Identity = identity
 			var think dist.Sampler
@@ -298,17 +273,15 @@ func durQuantile(samples []time.Duration, q float64) time.Duration {
 
 // WriteReport renders the report as the arbload CLI's output.
 func (r *LoadReport) WriteReport(w io.Writer, cfg LoadConfig) error {
-	resources := cfg.resourceList()
-	targets := cfg.targetList()
-	via := targetScheme(targets[0])
-	if len(targets) > 1 {
-		via = fmt.Sprintf("cluster of %d", len(targets))
+	via := targetScheme(cfg.Targets[0])
+	if len(cfg.Targets) > 1 {
+		via = fmt.Sprintf("cluster of %d", len(cfg.Targets))
 	}
 	if _, err := fmt.Fprintf(w, "arbload: %d agents x %d requests on %q via %s (%.2fs)\n",
-		cfg.Agents, cfg.Requests, strings.Join(resources, ","), via, r.Elapsed.Seconds()); err != nil {
+		cfg.Agents, cfg.Requests, strings.Join(cfg.Resources, ","), via, r.Elapsed.Seconds()); err != nil {
 		return err
 	}
-	multi := len(resources) > 1
+	multi := len(cfg.Resources) > 1
 	if multi {
 		if _, err := fmt.Fprintf(w, "  %5s %12s %8s %9s %11s %10s %10s %10s\n",
 			"agent", "resource", "grants", "timeouts", "grants/s", "Wp50", "Wp90", "Wmax"); err != nil {

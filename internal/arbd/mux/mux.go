@@ -19,8 +19,9 @@ import (
 )
 
 // Reply is the terminal answer to one call, with owned fields. The
-// reader fills it from a Grant, Released or Error frame; a forwarding
-// node (arbd.Router) answers with one too.
+// reader fills it from a Grant, Released or Error frame, and arbd's
+// binary server writes every answer from one, whether its local
+// daemon or a forwarding node (arbd.Router) gave it.
 type Reply struct {
 	// Type is TGrant, TReleased or TError.
 	Type codec.Type
@@ -33,8 +34,10 @@ type Reply struct {
 	// taxonomy).
 	Code int
 	Msg  string
-	// Route is the owner hint (codec.AppendOwnerRoute layout) a
-	// forwarding node attaches to the answer it relays; the reader
+	// Route, when non-nil, is the route field the server sends under
+	// FlagRouted: the owner hint (codec.AppendOwnerRoute layout) a
+	// forwarding node attaches to the answer it relays, or the route a
+	// routed request carried, echoed on a local answer. The reader
 	// never sets it.
 	Route []byte
 }

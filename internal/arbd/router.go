@@ -32,12 +32,14 @@ type Router interface {
 	// always returns a terminal reply (TGrant, TReleased or TError),
 	// with the owner hint the server relays under FlagRouted in its
 	// Route.
-	Forward(ctx context.Context, f ForwardFrame) mux.Reply
+	Forward(ctx context.Context, req Request) mux.Reply
 }
 
-// ForwardFrame is one decoded client request handed to a Router, with
-// owned (not buffer-aliased) fields.
-type ForwardFrame struct {
+// Request is one decoded Acquire or Release with owned (not
+// buffer-aliased) fields: the binary server decodes each such frame
+// into one, then serves it on the local daemon or hands it to
+// Router.Forward.
+type Request struct {
 	// Type is TAcquire or TRelease.
 	Type     codec.Type
 	Resource string
@@ -51,13 +53,12 @@ type ForwardFrame struct {
 	TTL time.Duration
 	// Token identifies the lease (release only).
 	Token string
-	// Corr is the client's correlation ID, used to stamp the origin
-	// into the onward route field.
+	// Corr is the client's correlation ID: the answer echoes it, and a
+	// router stamps it into the onward route field.
 	Corr uint64
-	// Route is the incoming frame's route field (owned copy) and
-	// Routed whether FlagRouted was set — non-zero when this frame
-	// already crossed a node, in which case the router enforces the
-	// hop limit instead of stamping a fresh origin.
-	Route  []byte
-	Routed bool
+	// Route is the frame's route field, nil when the frame did not
+	// carry FlagRouted. A non-nil Route means the frame already crossed
+	// a node: a router then enforces the hop limit instead of stamping
+	// a fresh origin, and a local answer echoes it.
+	Route []byte
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"busarb/internal/core"
+	"busarb/internal/obs"
 )
 
 // TestEveryProtocolServes runs every registered protocol, plus a tree
@@ -133,8 +134,8 @@ func TestDiscardedGrantReArbitrates(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("agent 2 was not granted after the discarded grant: the bus stalled")
 	}
-	var arbitrations, grants3 int64
-	s.probe.Do(func() { arbitrations, grants3 = s.tally.arbitrations, s.tally.grants[3] })
+	m := d.Metrics()["bus"]
+	arbitrations, grants3 := m.Arbitrations, m.Agents[2].Grants
 	if arbitrations != 3 || grants3 != 0 {
 		t.Errorf("arbitrations = %d, agent 3 grants = %d; want 3 and 0 (holder, discarded grant to 3, agent 2)",
 			arbitrations, grants3)
@@ -181,4 +182,109 @@ func TestAbandonedWaiterFreesQueueSlot(t *testing.T) {
 	if rep := <-next; rep.err != nil || rep.lease.Agent != 3 {
 		t.Fatalf("next waiter got %+v, %v; want agent 3's lease", rep.lease, rep.err)
 	}
+}
+
+// TestShardInputsAtChosenTimes drives a shard's inputs by hand, with no
+// loop and no clock: each input takes the instant it happens at, and
+// the events it causes are stamped with that instant's offset from the
+// epoch. Two RR1 agents with a 5s TTL are admitted at 1s, a tick grants
+// one at 1.001s, its lease lapses at exactly 6.001s and not 1ns before,
+// and the same tick grants the other, which is released at 7s.
+func TestShardInputsAtChosenTimes(t *testing.T) {
+	epoch := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(d time.Duration) time.Time { return epoch.Add(d) }
+	newTestShard := func(rc ResourceConfig, probe obs.Probe) *shard {
+		rc = rc.withDefaults()
+		f, err := core.ByName(rc.Protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newShard(rc, f(rc.Agents), epoch, probe)
+	}
+	waiter := func(ctx context.Context, agent int) *acquireReq {
+		return &acquireReq{agent: agent, ctx: ctx, reply: make(chan acquireReply, 1)}
+	}
+	// granted returns the lease the shard answered req with, or fails.
+	granted := func(t *testing.T, req *acquireReq) Lease {
+		t.Helper()
+		select {
+		case rep := <-req.reply:
+			if rep.err != nil {
+				t.Fatalf("agent %d answered %v, want a lease", req.agent, rep.err)
+			}
+			return rep.lease
+		default:
+			t.Fatalf("agent %d has no answer", req.agent)
+		}
+		return Lease{}
+	}
+
+	t.Run("lease lapses at its TTL and events carry their input's time", func(t *testing.T) {
+		var rec obs.Buffer
+		rc := res("bus", 2, "RR1")
+		rc.TTL = 5 * time.Second
+		s := newTestShard(rc, &rec)
+		a, b := waiter(context.Background(), 1), waiter(context.Background(), 2)
+		s.admit(a, at(time.Second))
+		s.admit(b, at(time.Second))
+		s.tick(at(1001 * time.Millisecond))
+		first, second := a, b
+		if len(a.reply) == 0 {
+			first, second = b, a
+		}
+		lease := granted(t, first)
+		if lease.TTL != 5*time.Second {
+			t.Fatalf("lease TTL %v, want 5s", lease.TTL)
+		}
+		s.tick(at(6001*time.Millisecond - 1))
+		if s.leaseToken != lease.Token || len(second.reply) != 0 {
+			t.Fatal("the lease lapsed 1ns before its TTL")
+		}
+		s.tick(at(6001 * time.Millisecond))
+		next := granted(t, second)
+		if !s.release(next.Token, at(7*time.Second)) {
+			t.Fatal("releasing the second lease failed")
+		}
+
+		want := []struct {
+			kind obs.Kind
+			at   time.Duration
+		}{
+			{obs.RequestIssued, time.Second},
+			{obs.RequestIssued, time.Second},
+			{obs.ArbitrationResolve, 1001 * time.Millisecond},
+			{obs.ServiceStart, 1001 * time.Millisecond},
+			{obs.ServiceEnd, 6001 * time.Millisecond},
+			{obs.ArbitrationResolve, 6001 * time.Millisecond},
+			{obs.ServiceStart, 6001 * time.Millisecond},
+			{obs.ServiceEnd, 7 * time.Second},
+		}
+		events := rec.Events()
+		if len(events) != len(want) {
+			t.Fatalf("got %d events, want %d: %v", len(events), len(want), events)
+		}
+		for i, e := range events {
+			if e.Kind != want[i].kind || e.Time != want[i].at.Seconds() {
+				t.Errorf("event %d = %v at %v, want %v at %v", i, e.Kind, e.Time, want[i].kind, want[i].at.Seconds())
+			}
+		}
+	})
+
+	t.Run("cancel taken before its acquire", func(t *testing.T) {
+		s := newTestShard(res("bus", 2, "RR1"), nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := waiter(ctx, 1)
+		s.cancel(req, at(time.Second))
+		if len(req.reply) != 0 {
+			t.Fatal("cancel answered an acquire the shard never admitted")
+		}
+		s.admit(req, at(time.Second))
+		if rep := <-req.reply; rep.err == nil || rep.err.code != codeDeadline {
+			t.Fatalf("admit answered %+v, want 408", rep)
+		}
+		if s.nwait != 0 || s.bus.Line(1) {
+			t.Errorf("the dead acquire was queued: %d waiters, line up %v", s.nwait, s.bus.Line(1))
+		}
+	})
 }

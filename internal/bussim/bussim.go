@@ -86,10 +86,6 @@ type Config struct {
 	// CollectWaits retains every post-warmup residence-time sample in
 	// an exact empirical CDF (needed for Figure 4.1 and Table 4.3).
 	CollectWaits bool
-	// HistBinWidth/HistMax, when positive, additionally collect a
-	// binned waiting-time histogram (cheaper than CollectWaits).
-	HistBinWidth float64
-	HistMax      float64
 	// LateJoin is an ablation switch: instead of arbitrating among the
 	// requesters present when the arbitration started (the request-line
 	// snapshot semantics of the real arbiter), competitors are taken at
@@ -206,8 +202,6 @@ type Result struct {
 	// Waits is the exact CDF of residence times (nil unless
 	// Config.CollectWaits).
 	Waits *stats.ECDF
-	// Hist is the binned CDF (nil unless configured).
-	Hist *stats.Histogram
 
 	// Arbitrations counts resolved arbitrations; Repasses counts RR3
 	// empty passes (each charged a full arbitration delay).
@@ -486,13 +480,6 @@ func Run(cfg Config) *Result {
 		s.res.Waits = &stats.ECDF{}
 		s.res.Waits.Reserve(int(s.target))
 	}
-	if cfg.HistBinWidth > 0 {
-		hm := cfg.HistMax
-		if hm <= 0 {
-			hm = 50 * cfg.Service * float64(cfg.N)
-		}
-		s.res.Hist = stats.NewHistogram(cfg.HistBinWidth, hm)
-	}
 
 	master := rng.New(cfg.Seed)
 	s.serviceSrc = master.Split()
@@ -697,9 +684,6 @@ func (s *system) recordCompletion(a *agentState, wait, dur float64) {
 	s.batchAgentCnt[a.id]++
 	if s.res.Waits != nil {
 		s.res.Waits.Add(wait)
-	}
-	if s.res.Hist != nil {
-		s.res.Hist.Add(wait)
 	}
 	if s.completions%s.batchSize == 0 {
 		s.closeBatch()

@@ -72,6 +72,7 @@ func TestCLIFailurePathsExitNonZero(t *testing.T) {
 		wantErr  string // substring that must appear on stderr
 	}{
 		{"paper unknown format", "paper", []string{"-table", "4.1", "-format", "yaml"}, "", 1, "unknown format"},
+		{"paper format on a text-only study", "paper", []string{"-cost", "-format", "csv"}, "", 1, "-ablations, -cost, -robustness, -priority and -membus print text only"},
 		{"paper unknown table", "paper", []string{"-table", "9.9"}, "", 1, "unknown table"},
 		{"paper unknown figure", "paper", []string{"-figure", "7.7"}, "", 1, "unknown figure"},
 		{"paper bad sizes", "paper", []string{"-table", "4.1", "-sizes", "x"}, "", 1, "bad size"},

@@ -156,9 +156,9 @@ func (e Event) String() string {
 // Probe consumes simulation events. Implementations are called from
 // the simulator's single-threaded event loop: they must not block and
 // need no internal locking unless they are shared across simulations.
-// Of the built-in consumers only Buffer locks internally; to drive or
-// read any other consumer from more than one goroutine (as the arbd
-// shard loops do), wrap it in Synchronized.
+// Of the built-in consumers only Buffer locks internally; any other is
+// driven and read by one goroutine, as each arbd shard's loop does
+// with its own.
 //
 // A Probe that retains an Event past the call must not assume the
 // Agents slice stays valid — simulators hand probes a private copy of

@@ -206,32 +206,6 @@ func TestFigure41SVG(t *testing.T) {
 	}
 }
 
-func TestMemBusAndRobustnessCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := MemBusCSV(&buf, []experiment.MemBusRow{{
-		MemTime: 2, LatConnected: 21.3, LatSplit: 4.1,
-		TputConnected: 0.33, TputSplit: 0.64, BusUtilSplit: 0.64, BankUtilSplit: 0.16,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, buf.String())
-	if recs[1][0] != "2" || recs[1][4] != "0.64" {
-		t.Errorf("membus csv = %v", recs)
-	}
-	buf.Reset()
-	err = RobustnessCSV(&buf, []experiment.RobustnessRow{{
-		FaultEvery: 500, CollisionsRot: 21367, FairnessRot: 0.34, FairnessRR: 1.0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = parseCSV(t, buf.String())
-	if recs[1][1] != "21367" {
-		t.Errorf("robustness csv = %v", recs)
-	}
-}
-
 func TestLinePlotSVG(t *testing.T) {
 	var buf bytes.Buffer
 	err := LinePlotSVG(&buf, "Waiting time vs load", "offered load", "W", []Series{

@@ -94,25 +94,3 @@ func Figure41SVG(w io.Writer, f experiment.Figure41Result) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// MemBusCSV exports the split-vs-connected sweep.
-func MemBusCSV(w io.Writer, rows []experiment.MemBusRow) error {
-	header := []string{"mem_time", "lat_connected", "lat_split", "tput_connected", "tput_split",
-		"split_bus_util", "split_bank_util"}
-	data := make([][]float64, len(rows))
-	for i, r := range rows {
-		data[i] = []float64{r.MemTime, r.LatConnected, r.LatSplit, r.TputConnected, r.TputSplit,
-			r.BusUtilSplit, r.BankUtilSplit}
-	}
-	return csvWrite(w, header, data)
-}
-
-// RobustnessCSV exports the fault-injection study.
-func RobustnessCSV(w io.Writer, rows []experiment.RobustnessRow) error {
-	header := []string{"fault_every", "rot_collisions", "rot_fairness", "rr_fairness"}
-	data := make([][]float64, len(rows))
-	for i, r := range rows {
-		data[i] = []float64{float64(r.FaultEvery), float64(r.CollisionsRot), r.FairnessRot, r.FairnessRR}
-	}
-	return csvWrite(w, header, data)
-}

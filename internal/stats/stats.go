@@ -199,128 +199,9 @@ func RatioOfBatches(num, den []float64) Estimate {
 	return BatchMeans(ratios)
 }
 
-// Histogram is a fixed-bin-width histogram with overflow tracking, used
-// for empirical waiting-time CDFs (Figure 4.1).
-type Histogram struct {
-	BinWidth float64
-	bins     []int64
-	overflow int64
-	count    int64
-	sum      float64
-}
-
-// NewHistogram creates a histogram covering [0, maxValue) with the given
-// bin width; observations at or beyond maxValue land in an overflow
-// bucket (still counted in the CDF denominator).
-func NewHistogram(binWidth, maxValue float64) *Histogram {
-	if binWidth <= 0 || maxValue <= 0 {
-		panic("stats: histogram needs positive bin width and range")
-	}
-	n := int(math.Ceil(maxValue / binWidth))
-	return &Histogram{BinWidth: binWidth, bins: make([]int64, n)}
-}
-
-// Add records one observation (negative values clamp to bin 0).
-func (h *Histogram) Add(x float64) {
-	h.count++
-	h.sum += x
-	if x < 0 {
-		x = 0
-	}
-	i := int(x / h.BinWidth)
-	if i >= len(h.bins) {
-		h.overflow++
-		return
-	}
-	h.bins[i]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Mean returns the mean of all recorded observations (exact, not binned).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// CDF returns the empirical P(X <= x), counting a bin only once x has
-// reached its upper edge (a conservative step function; exact at bin
-// edges for continuous data). Overflow mass is treated as clamped to the
-// histogram's maximum value, so CDF(maxValue) = 1.
-func (h *Histogram) CDF(x float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if x < 0 {
-		return 0
-	}
-	// Number of complete bins whose upper edge i*BinWidth is <= x; the
-	// epsilon absorbs binary rounding of x/BinWidth at exact edges.
-	k := int(math.Floor(x/h.BinWidth + 1e-9))
-	var cum int64
-	for i := 0; i < len(h.bins) && i < k; i++ {
-		cum += h.bins[i]
-	}
-	if k >= len(h.bins) {
-		cum += h.overflow
-	}
-	return float64(cum) / float64(h.count)
-}
-
-// Points returns the CDF sampled at every bin upper edge, for plotting.
-// Each point is (upper edge, P(X <= edge)).
-func (h *Histogram) Points() []CDFPoint {
-	pts := make([]CDFPoint, 0, len(h.bins))
-	var cum int64
-	for i, b := range h.bins {
-		cum += b
-		pts = append(pts, CDFPoint{
-			X: float64(i+1) * h.BinWidth,
-			P: float64(cum) / float64(max64(h.count, 1)),
-		})
-	}
-	return pts
-}
-
-// CDFPoint is one (x, P(X<=x)) sample of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of the binned data using the
-// bin upper edge; overflow mass maps to +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	target := int64(math.Ceil(q * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum int64
-	for i, b := range h.bins {
-		cum += b
-		if cum >= target {
-			return float64(i+1) * h.BinWidth
-		}
-	}
-	return math.Inf(1)
-}
-
-// ECDF is an exact empirical CDF over stored samples. It is used where
-// exact quantiles matter (the Table 4.3 overlap search); Histogram is
-// used where memory matters.
+// ECDF is an exact empirical CDF over stored samples: Figure 4.1's
+// waiting-time distributions and the Table 4.3 overlap search read
+// their quantiles from it.
 type ECDF struct {
 	sorted bool
 	xs     []float64
