@@ -26,6 +26,13 @@ type modelEvent struct {
 // Kind 1 is solo, so the slot and the heap are ordered together.
 func driveOrder(t *testing.T, steps int, choose func(int) int) {
 	t.Helper()
+	driveOrderFrom(t, 16, steps, choose)
+}
+
+// driveOrderFrom is driveOrder starting from the given number of
+// scheduled events instead of 16.
+func driveOrderFrom(t *testing.T, pending, steps int, choose func(int) int) {
+	t.Helper()
 	var s Scheduler
 	s.Solo(1)
 	var model []modelEvent
@@ -53,7 +60,7 @@ func driveOrder(t *testing.T, steps int, choose func(int) int) {
 		seq++
 		arg++
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < pending; i++ {
 		schedule()
 	}
 	now := 0.0
@@ -96,6 +103,16 @@ func driveOrder(t *testing.T, steps int, choose func(int) int) {
 func TestOrderMatchesModel(t *testing.T) {
 	for seed := uint64(0); seed < 1000; seed++ {
 		driveOrder(t, 200, rng.New(seed).Intn)
+	}
+}
+
+// TestOrderMatchesModelDeep runs the same check from 300 pending
+// events. Every popped event schedules one more on average, so the heap
+// stays about that size and its sifts run four and five levels deep,
+// through full groups of children and partial last ones.
+func TestOrderMatchesModelDeep(t *testing.T) {
+	for seed := uint64(0); seed < 100; seed++ {
+		driveOrderFrom(t, 300, 400, rng.New(seed).Intn)
 	}
 }
 
