@@ -81,11 +81,14 @@ bench:
 BENCH_SUITE = GOMAXPROCS=1 $(GO) test -run '^$$' -bench=. -benchmem
 
 # Archive today's benchmark suite as BENCH_<date>.json (the perf
-# trajectory; commit the snapshot alongside perf-relevant PRs).
+# trajectory; commit the snapshot alongside perf-relevant PRs), stamped
+# with the commit it ran on: commit the change first, then take the
+# snapshot. Each benchmark runs three times and benchjson keeps the
+# median ns/op and the largest allocs/op.
 bench-json:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	{ $(BENCH_SUITE) ./... >"$$out" || { cat "$$out"; exit 1; }; } && \
-	$(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json <"$$out"
+	{ $(BENCH_SUITE) -count=3 ./... >"$$out" || { cat "$$out"; exit 1; }; } && \
+	$(GO) run ./cmd/benchjson -commit $$(git rev-parse --short HEAD) -o BENCH_$$(date +%Y-%m-%d).json <"$$out"
 
 # The bench-regression gate: rerun the suite (short benchtime — only
 # allocs/op is compared, and allocation counts don't depend on it) and

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"busarb/internal/experiment"
+	"busarb/internal/rng"
 )
 
 // benchOpts keeps each benchmark iteration around a second. The load
@@ -236,6 +237,48 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		completions += Simulate(cfg).Completions
 	}
 	b.ReportMetric(float64(completions)/b.Elapsed().Seconds(), "completions/s")
+}
+
+// benchSimCalls times one pass over a perfbench simulator workload's
+// calls per op: every load under every protocol, one Simulate call
+// each, built as perfbench's buildSimCalls builds them (the protocols
+// at one load share a seed drawn from the workload seed, here 1). It
+// is the Go rung under perfbench's sim-* wait_p50_ms and ops_per_s,
+// and what a CPU profile of those workloads should run.
+func benchSimCalls(b *testing.B, n int, loads []float64, protos []string, batches, batchSize int) {
+	src := rng.New(1)
+	var calls []SimConfig
+	for _, load := range loads {
+		seed := src.Uint64()
+		for _, name := range protos {
+			cfg := SimConfig{Protocol: MustProtocol(name), Seed: seed, Batches: batches, BatchSize: batchSize}
+			EqualWorkload(n, load, 1.0).Apply(&cfg)
+			calls = append(calls, cfg)
+		}
+	}
+	b.ResetTimer()
+	completions := int64(0)
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range calls {
+			completions += Simulate(cfg).Completions
+		}
+	}
+	b.ReportMetric(float64(completions)/b.Elapsed().Seconds(), "completions/s")
+}
+
+// BenchmarkSim1024Calls is perfbench's sim-1024 call set, with n, the
+// loads, the protocols, the batches and the batch size copied from
+// perfbench/workload.go.
+func BenchmarkSim1024Calls(b *testing.B) {
+	benchSimCalls(b, 1024, []float64{1.5, 7.5}, []string{"RR1", "FCFS2"}, 2, 1024)
+}
+
+// BenchmarkSimPaperCalls is perfbench's sim-paper call set, with n, the
+// loads, the protocols, the batches and the batch size copied from
+// perfbench/workload.go.
+func BenchmarkSimPaperCalls(b *testing.B) {
+	benchSimCalls(b, 30, []float64{0.25, 0.50, 1.00, 1.50, 2.00, 2.50, 5.00, 7.50},
+		[]string{"RR1", "FCFS1", "FCFS2", "AAP1"}, 10, 1000)
 }
 
 func BenchmarkLineLevelBusSaturated(b *testing.B) {

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | benchjson -o BENCH_2026-08-06.json
+//	go test -bench=. -benchmem ./... | benchjson -commit $(git rev-parse --short HEAD) -o BENCH_2026-08-06.json
 //	go test -bench=Table41 -benchmem . | benchjson        # JSON to stdout
 //	benchjson -compare BENCH_2026-08-06.json BENCH_2026-08-08.json
 //	... | benchjson -o new.json && benchjson -compare -ns-threshold=-1 BENCH_2026-08-08.json new.json
@@ -27,6 +27,7 @@ func main() {
 	var (
 		out     = flag.String("o", "", "output file (default stdout)")
 		date    = flag.String("date", "", "snapshot date, YYYY-MM-DD (default today)")
+		commit  = flag.String("commit", "", "the commit the suite ran on, recorded in the snapshot header")
 		stamp   = flag.Bool("stamp", true, "stamp the snapshot with today's date when -date is not given; -stamp=false leaves the date empty so output is byte-reproducible")
 		compare = flag.Bool("compare", false, "compare two BENCH_<date>.json snapshots (args: old.json new.json, \"-\" reads one from stdin); exit 1 on regressions")
 		nsThr   = flag.Float64("ns-threshold", 0.25, "with -compare, relative ns/op increase that counts as a regression (0.25 = 25% slower); negative disables the ns/op check")
@@ -47,7 +48,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin (pipe `go test -bench` output in)")
 		os.Exit(1)
 	}
-	suite.Date = *date
+	suite.Date, suite.Commit = *date, *commit
 	if suite.Date == "" && *stamp {
 		// The one sanctioned wall-clock read in the repository: the
 		// BENCH_<date>.json archive is named after the day it was taken.

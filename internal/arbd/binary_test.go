@@ -209,6 +209,53 @@ func TestBinaryBadFrame(t *testing.T) {
 	}
 }
 
+// TestBinaryBadFrameCorr pins whose correlation ID answers a frame that
+// does not decode: the bad frame's own if its header decoded, else 0,
+// never that of the last frame that decoded. Here that frame is an
+// acquire still queued behind a held lease; when the bad frame ends the
+// connection, the acquire is answered 408 under its own ID.
+func TestBinaryBadFrameCorr(t *testing.T) {
+	d, err := New(Config{Resources: []ResourceConfig{res("bus", 4, "RR1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, bs := startBinary(t, d)
+	defer func() { bs.Close(); d.Close() }()
+	conn, err := net.Dial("tcp", target[len("tcp://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w, r := codec.NewWriter(conn), codec.NewReader(conn)
+	var f codec.Frame
+	if err := w.WriteFrame(&codec.Frame{Type: codec.TAcquire, Corr: 1, Agent: 1, Resource: []byte("bus")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Next(&f); err != nil || f.Type != codec.TGrant || f.Corr != 1 {
+		t.Fatalf("holder: got %v %+v, want a Grant under Corr 1", err, f)
+	}
+	if err := w.WriteFrame(&codec.Frame{Type: codec.TAcquire, Corr: 7, Agent: 2, Resource: []byte("bus")}); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued(t, d.shards["bus"], 2)
+	if _, err := conn.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		corr uint64
+		code uint16
+	}{{0, 400}, {7, 408}} {
+		if err := r.Next(&f); err != nil {
+			t.Fatalf("reading the answer under Corr %d: %v", want.corr, err)
+		}
+		if f.Type != codec.TError || f.Corr != want.corr || f.Code != want.code {
+			t.Errorf("got %v %d under Corr %d (%q), want Error %d under Corr %d",
+				f.Type, f.Code, f.Corr, f.Msg, want.code, want.corr)
+		}
+	}
+}
+
 // TestBinaryServerClose is the no-leaked-goroutines pin for the binary
 // listener: with connections open and an acquire blocked in the shard
 // queue, Close must abandon the waiter, tear down every per-connection

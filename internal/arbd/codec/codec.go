@@ -357,16 +357,21 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next reads exactly one frame into f. io.EOF at a frame boundary is
 // returned as io.EOF; a stream ending mid-frame is
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. On an error f holds only what decoded of the
+// frame just read, never a field of an earlier frame, and nothing at
+// all when its header did not decode.
 func (r *Reader) Next(f *Frame) error {
 	if _, err := io.ReadFull(r.r, r.len[:]); err != nil {
+		*f = Frame{}
 		return err
 	}
 	payload := int(binary.BigEndian.Uint32(r.len[:]))
 	if payload > MaxPayload {
+		*f = Frame{}
 		return ErrTooLong
 	}
 	if payload < HeaderLen {
+		*f = Frame{}
 		return ErrMalformed
 	}
 	if cap(r.buf) < payload {
@@ -377,6 +382,7 @@ func (r *Reader) Next(f *Frame) error {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
+		*f = Frame{}
 		return err
 	}
 	return decodePayload(r.buf, f)

@@ -169,6 +169,53 @@ func TestReaderRejectsHostileLength(t *testing.T) {
 	}
 }
 
+// TestReaderErrorLeavesNoStaleFrame pins what a failed Next leaves in
+// its frame after a good frame decoded into it: the bad frame's own
+// header fields if they decoded, else nothing, never the good frame's.
+func TestReaderErrorLeavesNoStaleFrame(t *testing.T) {
+	good, err := Append(nil, &Frame{Type: TAcquire, Corr: 5, Agent: 2, Resource: []byte("bus")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := Append(nil, &Frame{Type: TRelease, Corr: 9, Resource: []byte("bus"), Token: []byte("t")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(mut func(b []byte)) []byte {
+		b := append([]byte(nil), bad...)
+		mut(b)
+		return b
+	}
+	cases := []struct {
+		name string
+		buf  []byte
+		want error
+		corr uint64
+	}{
+		{"short length", bad[:3], io.ErrUnexpectedEOF, 0},
+		{"mid-frame", bad[:len(bad)-1], io.ErrUnexpectedEOF, 0},
+		{"payload under header", corrupt(func(b []byte) { binary.BigEndian.PutUint32(b, HeaderLen-1) }), ErrMalformed, 0},
+		{"payload over cap", corrupt(func(b []byte) { binary.BigEndian.PutUint32(b, MaxPayload+1) }), ErrTooLong, 0},
+		{"bad version", corrupt(func(b []byte) { b[4] = 99 }), ErrVersion, 0},
+		{"unknown type", corrupt(func(b []byte) { b[5] = 200 }), ErrType, 9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewReader(bytes.NewReader(append(append([]byte(nil), good...), tc.buf...)))
+			var f Frame
+			if err := r.Next(&f); err != nil || f.Corr != 5 {
+				t.Fatalf("good frame: Next = %v, Corr %d", err, f.Corr)
+			}
+			if err := r.Next(&f); err != tc.want {
+				t.Fatalf("Next = %v, want %v", err, tc.want)
+			}
+			if f.Corr != tc.corr || f.Agent != 0 || f.Resource != nil {
+				t.Errorf("after the error: %+v, want Corr %d and no field of the good frame", f, tc.corr)
+			}
+		})
+	}
+}
+
 // TestEncodeDecodeZeroAlloc pins the fast path's allocation-free
 // contract (the reason the codec exists): encoding into a warm buffer
 // and decoding in place are both 0 allocs/op, and so are the stream

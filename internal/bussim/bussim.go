@@ -143,10 +143,11 @@ func UniformLoad(n int, totalLoad, cv, service float64) []dist.Sampler {
 	if per <= 0 || per >= 1 {
 		panic(fmt.Sprintf("bussim: per-agent load %v out of (0,1)", per))
 	}
-	mean := service * (1 - per) / per
+	// A sampler is an immutable value, so every agent shares one.
+	s := dist.ByCV(service*(1-per)/per, cv)
 	out := make([]dist.Sampler, n)
 	for i := range out {
-		out[i] = dist.ByCV(mean, cv)
+		out[i] = s
 	}
 	return out
 }

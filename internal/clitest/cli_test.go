@@ -221,6 +221,27 @@ func TestBenchJSONStampReproducible(t *testing.T) {
 	}
 }
 
+// TestBenchJSONCommit pins that -commit lands in the snapshot header
+// and that a snapshot taken without it has no commit field.
+func TestBenchJSONCommit(t *testing.T) {
+	bins := buildCmds(t)
+	bench := "BenchmarkX \t 10 \t 100 ns/op \t 8 B/op \t 1 allocs/op\n"
+	code, out := runStdout(t, bins["benchjson"], bench, "-stamp=false", "-commit", "2a06940")
+	if code != 0 {
+		t.Fatalf("benchjson -commit exited %d", code)
+	}
+	if !strings.Contains(out, `"commit": "2a06940"`) {
+		t.Errorf("-commit missing from the header:\n%s", out)
+	}
+	code, out = runStdout(t, bins["benchjson"], bench, "-stamp=false")
+	if code != 0 {
+		t.Fatalf("benchjson exited %d", code)
+	}
+	if strings.Contains(out, `"commit"`) {
+		t.Errorf("a snapshot without -commit has a commit field:\n%s", out)
+	}
+}
+
 // TestArbdLifecycle pins the daemon's process contract end to end: it
 // announces both listen addresses on stdout, serves a real arbload run
 // over each transport, and a SIGTERM is a clean exit 0.

@@ -38,7 +38,10 @@ type BenchResult struct {
 // BenchSuite is a full `go test -bench` run: the environment header plus
 // every benchmark line, in output order.
 type BenchSuite struct {
-	Date   string `json:"date"` // YYYY-MM-DD, set by the caller
+	Date string `json:"date"` // YYYY-MM-DD, set by the caller
+	// Commit names the source the suite ran on, set by the caller
+	// (make bench-json passes `git rev-parse --short HEAD`).
+	Commit string `json:"commit,omitempty"`
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`

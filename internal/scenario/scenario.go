@@ -368,9 +368,10 @@ func (f *File) Config() bussim.Config {
 		if g.CV != nil {
 			cv = *g.CV
 		}
-		mean := bussim.MeanForLoad(g.Load, service)
+		// A sampler is an immutable value, so a group's agents share one.
+		s := dist.ByCV(bussim.MeanForLoad(g.Load, service), cv)
 		for i := 0; i < g.Count; i++ {
-			inter = append(inter, dist.ByCV(mean, cv))
+			inter = append(inter, s)
 			if anyUrgent {
 				urgent = append(urgent, g.UrgentProb)
 			}

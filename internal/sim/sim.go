@@ -9,18 +9,25 @@
 // switch; whatever an event needs beyond its argument lives in the
 // simulator's own state. Events hold no pointers, so the queue allocates
 // no closures and the garbage collector neither scans it nor pays write
-// barriers when it sifts. The queue is a concrete index-based binary
+// barriers when it sifts. The queue is a concrete index-based 4-ary
 // heap over a slice of event structs (container/heap would box every
 // element through interface{}); scheduling is allocation free once the
 // backing array has grown to its steady-state capacity (Next never
 // frees), and a simulator that knows that capacity sizes it once with
 // Grow.
 //
-// The sift-down picks the earlier child without a branch: earlier
-// compares (time, seq) as one 128-bit key and returns 0 or 1, which is
-// added to the left child's index. Comparing a time's bits is exact
-// because At stores no negative time (it stores −0 as +0), and
-// non-negative floats order as their bit patterns do.
+// An event stores its time as the bits of the float (math.Float64bits),
+// and earlier compares (time bits, seq) as one 128-bit key, returning 0
+// or 1. Comparing the bits is exact because At stores no negative time
+// (it stores −0 as +0), and non-negative floats order as their bit
+// patterns do; only Next turns the bits back into a time. The sift-down
+// picks the earliest of a node's four children without a branch, as a
+// tournament: earlier picks within each pair, then between the two
+// winners. While the sift has a full group of four slots below it, the
+// slot past the last real child is q[n], which still holds the event
+// being sifted down, so picking it stops the sift. Only a group with
+// fewer than four slots, the heap's last, needs care: it holds at most
+// two real children, and its pick is one compare.
 // docs/ARCHITECTURE.md records the heap shapes measured.
 //
 // A simulator may declare a kind solo (Solo): at most one event of that
@@ -67,20 +74,23 @@ type Scheduler struct {
 }
 
 type event struct {
-	time float64
+	time uint64 // math.Float64bits of the event's time, never negative
 	seq  uint64 // schedule order; breaks ties deterministically (FIFO)
 	kind Kind
 	arg  int32
 }
 
+// at returns the event's time.
+func (e *event) at() float64 { return math.Float64frombits(e.time) }
+
 // earlier is the queue order, 1 if e pops before o and 0 if not:
 // earlier time first, then schedule order. Chaining bits.Sub64's borrow
-// from seq into the times' bits compares (time, seq) as one 128-bit key
-// with no branch, so the sift-down's pick between two random times
-// costs no mispredicted branch.
+// from seq into the time bits compares (time, seq) as one 128-bit key
+// with no branch, so the sift-down's picks between random times cost no
+// mispredicted branch.
 func earlier(e, o *event) int {
 	_, borrow := bits.Sub64(e.seq, o.seq, 0)
-	_, borrow = bits.Sub64(math.Float64bits(e.time), math.Float64bits(o.time), borrow)
+	_, borrow = bits.Sub64(e.time, o.time, borrow)
 	return int(borrow)
 }
 
@@ -97,7 +107,7 @@ func (s *Scheduler) push(e event) {
 	i := s.n
 	s.n++
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / 4
 		if !e.before(&q[parent]) {
 			break
 		}
@@ -107,26 +117,39 @@ func (s *Scheduler) push(e event) {
 	q[i] = e
 }
 
-// pop removes the minimum event (sift-down). A node whose right child
-// is q[n] compares against last itself, which still sits there;
-// picking it stops the sift, as it must.
+// pop removes the minimum event (sift-down). The children of q[i] are
+// q[4i+1 : 4i+5]. last, the event being sifted, still sits at q[n], so a
+// group whose fourth slot is q[n] is picked like a full one: picking
+// last stops the sift, as it must. The group is re-sliced to four and
+// the pick masked to two bits, so the loop carries no bounds check per
+// child.
 func (s *Scheduler) pop() {
 	s.n--
 	n := s.n
 	q := s.queue
 	last := q[n]
 	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+	for c := 1; c+3 <= n; c = 4*i + 1 {
+		g := q[c : c+4 : c+4]
+		a := earlier(&g[1], &g[0])
+		b := 2 + earlier(&g[3], &g[2])
+		m := a + (b-a)*earlier(&g[b&3], &g[a&3])
+		if !g[m&3].before(&last) {
+			q[i] = last
+			return
 		}
-		child := l + earlier(&q[l+1], &q[l])
-		if !q[child].before(&last) {
-			break
+		q[i] = g[m&3]
+		i = c + m
+	}
+	// A group with fewer than four slots is the heap's last: it holds
+	// at most two real children, q[c] and q[c+1], and q[c+1] may be
+	// q[n]. Its pick ends the sift.
+	if c := 4*i + 1; c < n {
+		child := c + earlier(&q[c+1], &q[c])
+		if q[child].before(&last) {
+			q[i] = q[child]
+			i = child
 		}
-		q[i] = q[child]
-		i = child
 	}
 	q[i] = last
 }
@@ -206,7 +229,7 @@ func (s *Scheduler) At(t float64, kind Kind, arg int) {
 	}
 	// Adding +0 turns −0 into +0 and leaves every other time as it is;
 	// −0's bits would order it after +Inf.
-	e := event{time: t + 0, seq: s.seq, kind: kind, arg: int32(arg)}
+	e := event{time: math.Float64bits(t + 0), seq: s.seq, kind: kind, arg: int32(arg)}
 	if s.solo>>kind&1 != 0 {
 		s.arm(e)
 	} else {
@@ -225,19 +248,19 @@ func (s *Scheduler) After(d float64, kind Kind, arg int) { s.At(s.now+d, kind, a
 func (s *Scheduler) Next(until float64) (kind Kind, arg int, ok bool) {
 	if s.armed != 0 {
 		if e := &s.slot[s.first]; s.n == 0 || e.before(&s.queue[0]) {
-			if e.time > until {
+			if e.at() > until {
 				return 0, 0, false
 			}
-			s.now, kind, arg = e.time, e.kind, int(e.arg)
+			s.now, kind, arg = e.at(), e.kind, int(e.arg)
 			s.take()
 			return kind, arg, true
 		}
 	}
-	if s.n == 0 || s.queue[0].time > until {
+	if s.n == 0 || s.queue[0].at() > until {
 		return 0, 0, false
 	}
 	top := &s.queue[0]
-	s.now, kind, arg = top.time, top.kind, int(top.arg)
+	s.now, kind, arg = top.at(), top.kind, int(top.arg)
 	s.pop()
 	return kind, arg, true
 }

@@ -59,8 +59,9 @@ func OneScaled(n int, baseLoad, factor, cv float64) Scenario {
 	}
 	inter := make([]dist.Sampler, n)
 	inter[0] = dist.ByCV(bussim.MeanForLoad(scaled, 1.0), cv)
+	rest := dist.ByCV(bussim.MeanForLoad(per, 1.0), cv)
 	for i := 1; i < n; i++ {
-		inter[i] = dist.ByCV(bussim.MeanForLoad(per, 1.0), cv)
+		inter[i] = rest
 	}
 	return Scenario{
 		Name:        fmt.Sprintf("one-scaled(n=%d, base=%.2f, x%.0f, cv=%.2f)", n, baseLoad, factor, cv),
@@ -83,8 +84,9 @@ func WorstCaseRR(n int, cv float64) Scenario {
 	other := float64(n) - 3.6
 	inter := make([]dist.Sampler, n)
 	inter[0] = dist.ByCV(slow, cv)
+	rest := dist.ByCV(other, cv)
 	for i := 1; i < n; i++ {
-		inter[i] = dist.ByCV(other, cv)
+		inter[i] = rest
 	}
 	loadSlow := 1 / (1 + slow)
 	loadOther := 1 / (1 + other)
